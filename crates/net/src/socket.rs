@@ -393,6 +393,13 @@ impl Conn {
         self.q.lock().unwrap().closed
     }
 
+    /// Closed, or every sender is gone with the endpoint: nobody wants
+    /// the link back, so a dialer must not resurrect it.
+    fn is_abandoned(&self) -> bool {
+        let q = self.q.lock().unwrap();
+        q.closed || q.tx_dropped
+    }
+
     /// Install `stream` as the link's current stream, waking the reader
     /// and writer. Counts a reconnect for every splice after the first
     /// installation.
@@ -687,7 +694,7 @@ fn reader_loop(conn: Arc<Conn>, peer: Rank, me: Rank, out: Sender<Envelope>) {
 }
 
 /// Supervisor thread for slave-side relinkable connections: whenever the
-/// link drops (and the connection is still wanted), re-dial the master
+/// link drops (and the endpoint still holds the connection), re-dial the master
 /// with exponential backoff, resuming the same rank under the same
 /// session, then splice the fresh stream in. Gives up — closing the
 /// connection — when a whole reconnect window passes without success.
@@ -712,19 +719,19 @@ fn dial_loop(conn: Arc<Conn>) {
                     .wait_timeout(l, Duration::from_millis(200))
                     .unwrap()
                     .0;
-                if conn.is_closed() {
+                if conn.is_abandoned() {
                     return;
                 }
             }
             l.hold_until
         };
-        if conn.is_closed() {
+        if conn.is_abandoned() {
             return;
         }
         // Respect a sever's enforced downtime.
         if let Some(h) = hold {
             while Instant::now() < h {
-                if conn.is_closed() {
+                if conn.is_abandoned() {
                     return;
                 }
                 std::thread::sleep(Duration::from_millis(5));
@@ -733,7 +740,7 @@ fn dial_loop(conn: Arc<Conn>) {
         let deadline = Instant::now() + *window;
         let mut backoff = Duration::from_millis(10);
         loop {
-            if conn.is_closed() {
+            if conn.is_abandoned() {
                 return;
             }
             match redial(addr, cfg, *rank, *session) {
@@ -916,6 +923,11 @@ impl SocketListener {
         Ok(SocketListener { inner, cfg })
     }
 
+    /// The socket knobs this listener was bound with.
+    pub fn config(&self) -> &SocketConfig {
+        &self.cfg
+    }
+
     /// The address actually bound (port resolved for TCP).
     pub fn local_addr(&self) -> NetAddr {
         match &self.inner {
@@ -969,53 +981,7 @@ impl SocketListener {
         n_slaves: usize,
         plan: Option<FaultPlan>,
     ) -> io::Result<(Endpoint, SocketInfo)> {
-        assert!(n_slaves > 0, "a socket cluster needs at least one slave");
-        let n_ranks = n_slaves + 1;
-        let deadline = Instant::now() + self.cfg.accept_timeout;
-        let (env_tx, env_rx) = unbounded();
-        let mut links: Vec<TxLink> = (0..n_ranks).map(|_| TxLink::Unrouted).collect();
-        links[0] = TxLink::Channel(env_tx.clone()); // loopback
-        let mut taken = vec![false; n_ranks];
-        taken[0] = true;
-        let mut info_links = Vec::with_capacity(n_slaves);
-        while info_links.len() < n_slaves {
-            let mut stream = self.accept_one(deadline)?;
-            stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-            let (want, _session) = match read_hello(&mut stream) {
-                Ok(w) => w,
-                Err(_) => continue, // garbage peer: drop the connection
-            };
-            let rank = match (want as usize) < n_ranks && want != 0 && !taken[want as usize] {
-                true => want as usize,
-                false => match taken.iter().position(|t| !t) {
-                    Some(r) => r,
-                    None => break,
-                },
-            };
-            write_welcome(&mut stream, rank as u32, n_ranks as u32, 0)?;
-            stream.set_read_timeout(None)?;
-            taken[rank] = true;
-            let stats = Arc::new(LinkStats::default());
-            let tx = spawn_link(
-                stream,
-                Rank(rank as u32),
-                Rank(0),
-                &self.cfg,
-                env_tx.clone(),
-                stats.clone(),
-                RelinkMode::Terminal,
-            )?;
-            links[rank] = TxLink::Socket(tx);
-            info_links.push((Rank(rank as u32), stats));
-        }
-        info_links.sort_by_key(|(r, _)| r.0);
-        let ep = Endpoint::from_parts(Rank(0), links, env_rx, plan);
-        let info = SocketInfo {
-            rank: Rank(0),
-            n_ranks,
-            links: info_links,
-            epoch: 0,
-        };
+        let (ep, info, ..) = self.accept_initial(n_slaves, plan, false)?;
         Ok((ep, info))
     }
 
@@ -1043,58 +1009,7 @@ impl SocketListener {
         n_slaves: usize,
         plan: Option<FaultPlan>,
     ) -> io::Result<(Endpoint, SocketInfo, FleetAcceptor)> {
-        assert!(n_slaves > 0, "a socket cluster needs at least one slave");
-        let n_ranks = n_slaves + 1;
-        let deadline = Instant::now() + self.cfg.accept_timeout;
-        let (env_tx, env_rx) = unbounded();
-        let mut links: Vec<TxLink> = (0..n_ranks).map(|_| TxLink::Unrouted).collect();
-        links[0] = TxLink::Channel(env_tx.clone()); // loopback
-        let mut slots: Vec<Option<RankSlot>> = (0..n_ranks).map(|_| None).collect();
-        let mut info_links = Vec::with_capacity(n_slaves);
-        while info_links.len() < n_slaves {
-            let mut stream = self.accept_one(deadline)?;
-            stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-            let (want, session) = match read_hello(&mut stream) {
-                Ok(w) => w,
-                Err(_) => continue,
-            };
-            let free = |slots: &[Option<RankSlot>]| slots[1..].iter().position(|s| s.is_none());
-            let rank =
-                match (want as usize) < n_ranks && want != 0 && slots[want as usize].is_none() {
-                    true => want as usize,
-                    false => match free(&slots) {
-                        Some(i) => i + 1,
-                        None => break,
-                    },
-                };
-            write_welcome(&mut stream, rank as u32, n_ranks as u32, INITIAL_EPOCH)?;
-            stream.set_read_timeout(None)?;
-            let stats = Arc::new(LinkStats::default());
-            let tx = spawn_link(
-                stream,
-                Rank(rank as u32),
-                Rank(0),
-                &self.cfg,
-                env_tx.clone(),
-                stats.clone(),
-                RelinkMode::Await,
-            )?;
-            slots[rank] = Some(RankSlot {
-                conn: tx.conn.clone(),
-                session,
-                stats: stats.clone(),
-            });
-            links[rank] = TxLink::Socket(tx);
-            info_links.push((Rank(rank as u32), stats));
-        }
-        info_links.sort_by_key(|(r, _)| r.0);
-        let ep = Endpoint::from_parts(Rank(0), links, env_rx, plan);
-        let info = SocketInfo {
-            rank: Rank(0),
-            n_ranks,
-            links: info_links,
-            epoch: INITIAL_EPOCH,
-        };
+        let (ep, info, slots, env_tx) = self.accept_initial(n_slaves, plan, true)?;
         let shared = Arc::new(AcceptorShared {
             events: Mutex::new(VecDeque::new()),
             epoch: AtomicU64::new(INITIAL_EPOCH),
@@ -1115,6 +1030,85 @@ impl SocketListener {
             handle: Some(handle),
         };
         Ok((ep, info, acceptor))
+    }
+
+    /// The accept loop both entry points share: admit `n_slaves`
+    /// connections and build the master endpoint over them, returning it
+    /// with the per-rank admission records and the inbound queue's sender
+    /// (for links a fleet acceptor installs later). An `elastic` fleet's
+    /// links wait for a splice when their stream breaks and its members
+    /// start at [`INITIAL_EPOCH`]; a fixed cluster's links close for good
+    /// on the first error and report epoch 0.
+    #[allow(clippy::type_complexity)] // private; the two callers destructure it
+    fn accept_initial(
+        &self,
+        n_slaves: usize,
+        plan: Option<FaultPlan>,
+        elastic: bool,
+    ) -> io::Result<(
+        Endpoint,
+        SocketInfo,
+        Vec<Option<RankSlot>>,
+        Sender<Envelope>,
+    )> {
+        assert!(n_slaves > 0, "a socket cluster needs at least one slave");
+        let n_ranks = n_slaves + 1;
+        let epoch = if elastic { INITIAL_EPOCH } else { 0 };
+        let deadline = Instant::now() + self.cfg.accept_timeout;
+        let (env_tx, env_rx) = unbounded();
+        let mut links: Vec<TxLink> = (0..n_ranks).map(|_| TxLink::Unrouted).collect();
+        links[0] = TxLink::Channel(env_tx.clone()); // loopback
+        let mut slots: Vec<Option<RankSlot>> = (0..n_ranks).map(|_| None).collect();
+        let mut info_links = Vec::with_capacity(n_slaves);
+        while info_links.len() < n_slaves {
+            let mut stream = self.accept_one(deadline)?;
+            stream.set_read_timeout(Some(Duration::from_secs(10)))?;
+            let (want, session) = match read_hello(&mut stream) {
+                Ok(w) => w,
+                Err(_) => continue, // garbage peer: drop the connection
+            };
+            let free = |slots: &[Option<RankSlot>]| slots[1..].iter().position(|s| s.is_none());
+            let rank =
+                match (want as usize) < n_ranks && want != 0 && slots[want as usize].is_none() {
+                    true => want as usize,
+                    false => match free(&slots) {
+                        Some(i) => i + 1,
+                        None => break,
+                    },
+                };
+            write_welcome(&mut stream, rank as u32, n_ranks as u32, epoch)?;
+            stream.set_read_timeout(None)?;
+            let stats = Arc::new(LinkStats::default());
+            let tx = spawn_link(
+                stream,
+                Rank(rank as u32),
+                Rank(0),
+                &self.cfg,
+                env_tx.clone(),
+                stats.clone(),
+                if elastic {
+                    RelinkMode::Await
+                } else {
+                    RelinkMode::Terminal
+                },
+            )?;
+            slots[rank] = Some(RankSlot {
+                conn: tx.conn.clone(),
+                session,
+                stats: stats.clone(),
+            });
+            links[rank] = TxLink::Socket(tx);
+            info_links.push((Rank(rank as u32), stats));
+        }
+        info_links.sort_by_key(|(r, _)| r.0);
+        let ep = Endpoint::from_parts(Rank(0), links, env_rx, plan);
+        let info = SocketInfo {
+            rank: Rank(0),
+            n_ranks,
+            links: info_links,
+            epoch,
+        };
+        Ok((ep, info, slots, env_tx))
     }
 }
 

@@ -10,16 +10,14 @@ use crate::autotune::{Autotuner, ProblemClass};
 use crate::checkpoint::Checkpoint;
 use crate::config::{Deployment, ObsConfig, RunReport};
 use crate::durable::CheckpointPolicy;
-use crate::master::run_master_with;
-use crate::shared_grid::SharedGrid;
-use crate::slave::run_slave_with_storage;
-use crate::storage::SparseGrid;
+use crate::fleet::Fleet;
+use crate::slave::run_slave_in;
 use crate::RuntimeError;
 use easyhps_core::ScheduleMode;
 use easyhps_core::{DagDataDrivenModel, GridDims};
 use easyhps_dp::{DpMatrix, DpProblem};
 use easyhps_net::socket::{connect, SocketConfig, SocketListener};
-use easyhps_net::{FaultPlan, NetAddr, Network, RetryPolicy};
+use easyhps_net::{Endpoint, FaultPlan, NetAddr, Network, RetryPolicy};
 use easyhps_obs::{EventRecorder, Registry};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -461,109 +459,67 @@ impl<P: DpProblem> EasyHps<P> {
         };
 
         let memory = self.memory;
-        let out = match self.transport {
-            TransportKind::InProcess => {
-                let mut endpoints = Network::with_faults(n_ranks, &plans);
-                let master_ep = endpoints.remove(0);
-                std::thread::scope(|s| {
+        let out = std::thread::scope(|s| {
+            // A slave that dies under fault injection returns Err; the
+            // master's fault tolerance handles it.
+            let (problem, model, deployment) = (&problem, &model, &deployment);
+            let slave = move |ep: Endpoint| {
+                let _ = run_slave_in(memory, ep, problem.as_ref(), model, deployment);
+            };
+            let mut fleet = match self.transport {
+                TransportKind::InProcess => {
+                    let mut endpoints = Network::with_faults(n_ranks, &plans);
+                    let root = endpoints.remove(0);
                     for ep in endpoints {
-                        let problem = problem.clone();
-                        let model = model.clone();
-                        let deployment = deployment.clone();
-                        s.spawn(move || {
-                            drive_slave(memory, ep, problem.as_ref(), &model, &deployment)
-                        });
+                        s.spawn(move || slave(ep));
                     }
-                    run_master_with(
-                        master_ep,
-                        problem.as_ref(),
-                        &model,
-                        &deployment,
-                        self.resume.as_ref(),
-                        self.tile_budget,
-                    )
-                })?
-            }
-            kind => {
-                // Socket-backed virtual cluster: every rank still runs as
-                // a thread here, but all master<->slave traffic crosses a
-                // real kernel socket. Ranks are requested explicitly so
-                // per-rank fault plans land on the intended endpoint.
-                let bind_addr = match kind {
-                    TransportKind::Uds => NetAddr::Uds(temp_socket_path()),
-                    _ => NetAddr::parse("127.0.0.1:0").expect("loopback address parses"),
-                };
-                let scfg = SocketConfig {
-                    reconnect_window: self.reconnect,
-                    ..SocketConfig::default()
-                };
-                let listener = SocketListener::bind(&bind_addr, scfg.clone()).map_err(|e| {
-                    RuntimeError::InvalidConfig(format!("binding {bind_addr}: {e}"))
-                })?;
-                let addr = listener.local_addr();
-                std::thread::scope(|s| {
-                    for i in 0..self.deployment.slaves {
-                        let plan = plans[i + 1].clone();
-                        let addr = addr.clone();
-                        let scfg = scfg.clone();
-                        let problem = problem.clone();
-                        let model = model.clone();
-                        let deployment = deployment.clone();
+                    Fleet::over_channels(root, self.deployment.slaves, plans[0].clone())
+                }
+                kind => {
+                    // Socket-backed virtual cluster: every rank still runs
+                    // as a thread here, but all master<->slave traffic
+                    // crosses a real kernel socket. Ranks are requested
+                    // explicitly so per-rank fault plans land on the
+                    // intended endpoint.
+                    let bind_addr = match kind {
+                        TransportKind::Uds => NetAddr::Uds(temp_socket_path()),
+                        _ => NetAddr::parse("127.0.0.1:0").expect("loopback address parses"),
+                    };
+                    let scfg = SocketConfig {
+                        reconnect_window: self.reconnect,
+                        ..SocketConfig::default()
+                    };
+                    let listener = SocketListener::bind(&bind_addr, scfg.clone()).map_err(|e| {
+                        RuntimeError::InvalidConfig(format!("binding {bind_addr}: {e}"))
+                    })?;
+                    let addr = listener.local_addr();
+                    for (i, plan) in plans.iter().enumerate().skip(1) {
+                        let (addr, scfg, plan) = (addr.clone(), scfg.clone(), plan.clone());
                         s.spawn(move || {
                             // The master tearing down early (e.g. under a
                             // kill-master drill) makes connect fail; that
                             // slave simply has nothing to do.
-                            let Ok((ep, _info)) = connect(&addr, Some(i as u32 + 1), scfg, plan)
-                            else {
-                                return;
-                            };
-                            drive_slave(memory, ep, problem.as_ref(), &model, &deployment)
+                            if let Ok((ep, _)) = connect(&addr, Some(i as u32), scfg, plan) {
+                                slave(ep);
+                            }
                         });
                     }
-                    let accept_err =
-                        |e| RuntimeError::InvalidConfig(format!("accepting slaves: {e}"));
-                    let out = if self.reconnect.is_some() {
-                        // Elastic membership: keep the listener open in a
-                        // background acceptor that splices reconnecting
-                        // slaves back in and fences stale incarnations.
-                        let (master_ep, sinfo, acceptor) = listener
-                            .accept_fleet(self.deployment.slaves, plans[0].clone())
-                            .map_err(accept_err)?;
-                        let control = crate::master::FleetControl::new(Some(Arc::new(acceptor)));
-                        let out = crate::master::run_master_fleet(
-                            master_ep,
-                            problem.as_ref(),
-                            &model,
-                            &deployment,
-                            self.resume.as_ref(),
-                            self.tile_budget,
-                            Some(&control),
-                        )?;
-                        if let Some(reg) = &registry {
-                            crate::remote::publish_socket_stats(reg, &sinfo);
-                        }
-                        out
-                    } else {
-                        let (master_ep, sinfo) = listener
-                            .accept_ranks(self.deployment.slaves, plans[0].clone())
-                            .map_err(accept_err)?;
-                        let out = run_master_with(
-                            master_ep,
-                            problem.as_ref(),
-                            &model,
-                            &deployment,
-                            self.resume.as_ref(),
-                            self.tile_budget,
-                        )?;
-                        if let Some(reg) = &registry {
-                            crate::remote::publish_socket_stats(reg, &sinfo);
-                        }
-                        out
-                    };
-                    Ok::<_, RuntimeError>(out)
-                })?
-            }
-        };
+                    Fleet::accept(listener, self.deployment.slaves, plans[0].clone())?
+                }
+            };
+            let out = fleet.run(
+                problem.as_ref(),
+                model,
+                deployment,
+                self.resume.as_ref(),
+                self.tile_budget,
+            );
+            // The fleet's root endpoint keeps the master's links open:
+            // drop it before the scope joins the slaves, or a slave whose
+            // master died would wait on it forever.
+            drop(fleet);
+            out
+        })?;
 
         // Every slave thread has joined (the scope ended), so every event
         // lane has flushed into the recorder: the export is complete.
@@ -585,38 +541,8 @@ impl<P: DpProblem> EasyHps<P> {
             let _ = tuner.save();
         }
 
-        Ok(RunOutput {
-            checkpoint: out.checkpoint,
-            matrix: out.matrix,
-            report: RunReport {
-                elapsed: out.elapsed,
-                master: out.stats,
-                slaves: out.slave_stats,
-                trace: out.trace,
-            },
-            metrics: registry,
-        })
+        Ok(out)
     }
-}
-
-/// Run one slave rank to completion on `ep`, dispatching on the storage
-/// strategy. A slave that dies under fault injection returns Err; the
-/// master's fault tolerance handles it, so the error is dropped here.
-fn drive_slave<P: DpProblem>(
-    memory: MemoryMode,
-    ep: easyhps_net::Endpoint,
-    problem: &P,
-    model: &DagDataDrivenModel,
-    deployment: &Deployment,
-) {
-    let _ = match memory {
-        MemoryMode::Dense => {
-            run_slave_with_storage::<P, SharedGrid<P::Cell>>(ep, problem, model, deployment)
-        }
-        MemoryMode::Sparse => {
-            run_slave_with_storage::<P, SparseGrid<P::Cell>>(ep, problem, model, deployment)
-        }
-    };
 }
 
 /// A unique Unix-domain socket path for one in-process virtual cluster.

@@ -1,49 +1,65 @@
-//! A persistent slave fleet: connections that outlive a single job.
+//! The slave fleet: the one place a master gathers its slaves and runs.
 //!
-//! `run_remote_master` used to accept slave connections, run one job and
-//! drop the endpoint — which closed every socket, leaving the slaves
-//! unusable for a second run. [`Fleet`] factors the acceptance/handshake
-//! step out and *owns* the links: each job runs on a per-job
-//! [`Endpoint::fork`](easyhps_net::Endpoint::fork) of the shared root
-//! endpoint, so dropping the job's endpoint leaves the connections open
-//! (the socket writer thread exits only when the last `TxLink` clone is
-//! gone). The one-shot `easyhps master` path and the serve daemon share
-//! this type; the daemon simply calls [`Fleet::run_job`] many times.
+//! A [`Fleet`] owns the root endpoint of a set of rank-assigned slaves
+//! and the [`FleetControl`] every job's master shares. Each way of
+//! running a master goes through it:
 //!
-//! Slaves run the matching loop ([`serve_slave_jobs`]
-//! (crate::remote::serve_slave_jobs)): wait for a [`tags::JOB`] frame,
-//! run the ordinary slave loop on a fork of their connection, repeat
-//! until [`tags::SHUTDOWN`] arrives or the master disappears.
+//! - [`EasyHps::run`](crate::EasyHps::run) spawns one-shot slave threads,
+//!   wraps its channel network (or [`Fleet::accept`]s its socket slaves)
+//!   and runs a single job;
+//! - `easyhps master` [`Fleet::accept`]s remote slaves, ships them one
+//!   [`JobSpec`] with [`Fleet::run_job`] and shuts the fleet down;
+//! - the serve daemon keeps a [`Fleet::local`] or
+//!   [`Fleet::accept_elastic`] fleet and calls [`Fleet::run_job`] for
+//!   every job.
 //!
-//! An in-process variant ([`Fleet::local`]) spawns the same multi-job
-//! slave loop on threads over channel links — the serve daemon's default
-//! fleet when no `--fleet-listen` address is given.
+//! Every job runs on a per-job [`Endpoint::fork`] of the root endpoint
+//! carrying the fleet's master fault plan, so dropping the job's endpoint
+//! leaves the connections open (a socket writer thread exits only when
+//! the last `TxLink` clone is gone). After the master loop returns, the
+//! job's share of each socket link's counters is published into the
+//! job's registry.
 //!
-//! Fault injection composes with the one-shot path only: a fault plan
+//! Membership is decided here and nowhere else: [`Fleet::accept`] is
+//! elastic — reconnection, mid-run join, drain — iff the listener's
+//! [`SocketConfig::reconnect_window`](easyhps_net::SocketConfig::reconnect_window)
+//! is set, and fixed (links fail for good on the first error) otherwise;
+//! [`Fleet::accept_elastic`] is always elastic.
+//!
+//! [`Fleet::run_job`] slaves run the matching loop
+//! ([`serve_slave_jobs`](crate::remote::serve_slave_jobs)): wait for a
+//! [`tags::JOB`] frame, run the ordinary slave loop on a fork of their
+//! connection, repeat until [`tags::SHUTDOWN`] arrives or the master
+//! disappears. [`Fleet::local`] runs the same loop on threads over
+//! channel links — the serve daemon's default fleet.
+//!
+//! Fault injection composes with one-shot runs only: a fault plan
 //! replays from its first clause on every forked endpoint, and a job
 //! that dies mid-run can leave slaves executing stale work, so a fleet
 //! that will run more than one job must not inject faults.
 
 use crate::checkpoint::Checkpoint;
-use crate::config::{ObsConfig, RunReport};
+use crate::config::{Deployment, ObsConfig, RunReport};
 use crate::durable::CheckpointPolicy;
 use crate::master::{run_master_fleet, FleetControl};
 use crate::protocol::tags;
 use crate::remote::{
-    publish_socket_stats, slave_job_loop, with_problem, JobSpec, RemoteOutput, RemoteProblem,
-    SlaveServeSummary,
+    slave_job_loop, with_problem, JobSpec, RemoteOutput, RemoteProblem, SlaveServeSummary,
 };
-use crate::RuntimeError;
-use easyhps_dp::{EditDistance, Lcs, NeedlemanWunsch, Nussinov, SmithWatermanGeneralGap};
-use easyhps_net::socket::{SocketInfo, SocketListener};
+use crate::{RunOutput, RuntimeError};
+use easyhps_core::DagDataDrivenModel;
+use easyhps_dp::{
+    DpProblem, EditDistance, Lcs, NeedlemanWunsch, Nussinov, SmithWatermanGeneralGap,
+};
+use easyhps_net::socket::{LinkSnapshot, SocketInfo, SocketListener};
 use easyhps_net::{frame, Endpoint, FaultPlan, FleetAcceptor, Network, Rank};
+use easyhps_obs::{labeled, Registry};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Per-job knobs for [`Fleet::run_job`] — the job-scoped subset of
-/// [`RemoteMasterOptions`](crate::remote::RemoteMasterOptions).
+/// Per-job knobs for [`Fleet::run_job`].
 #[derive(Debug, Default)]
 pub struct JobOptions {
     /// Observability wiring for this job (a daemon hands each job its
@@ -58,17 +74,21 @@ pub struct JobOptions {
 }
 
 enum FleetSlaves {
-    /// Remote slaves over sockets; the info carries per-link counters.
-    Remote(SocketInfo),
-    /// In-process slave threads over channel links.
+    /// Remote slaves over sockets: every link the fleet has held, and
+    /// the counters of each already published into job registries.
+    Remote {
+        info: SocketInfo,
+        published: Vec<LinkSnapshot>,
+    },
+    /// In-process slave threads over channel links (none when a one-shot
+    /// run owns its slave threads itself).
     Local(Vec<JoinHandle<Result<SlaveServeSummary, RuntimeError>>>),
 }
 
 /// A set of connected, rank-assigned slaves that stays usable across
-/// jobs. Create with [`Fleet::accept`] (sockets, fixed membership),
-/// [`Fleet::accept_elastic`] (sockets, reconnection + mid-run join +
-/// drain) or [`Fleet::local`] (threads), run any number of jobs, then
-/// [`Fleet::shutdown`].
+/// jobs. Create with [`Fleet::accept`] (sockets), [`Fleet::accept_elastic`]
+/// (sockets, always elastic) or [`Fleet::local`] (threads), run any
+/// number of jobs, then [`Fleet::shutdown`].
 pub struct Fleet {
     root: Endpoint,
     n_slaves: usize,
@@ -85,56 +105,75 @@ pub struct Fleet {
 }
 
 impl Fleet {
+    fn new(
+        root: Endpoint,
+        n_slaves: usize,
+        fault: Option<FaultPlan>,
+        slaves: FleetSlaves,
+        acceptor: Option<FleetAcceptor>,
+    ) -> Fleet {
+        Fleet {
+            root,
+            n_slaves,
+            fault,
+            slaves,
+            control: FleetControl::new(acceptor.map(Arc::new)),
+            retired: vec![false; n_slaves + 1],
+        }
+    }
+
     /// Accept `n_slaves` socket connections on an already-bound listener
-    /// and perform the rank handshake. `fault` configures the master's
-    /// fault injection for drills — see the module docs for why a faulty
-    /// fleet must stay single-job.
+    /// and perform the rank handshake. Membership is elastic (see
+    /// [`Fleet::accept_elastic`]) iff the listener's reconnect window is
+    /// set. `fault` configures the master's fault injection for drills —
+    /// see the module docs for why a faulty fleet must stay single-job.
     pub fn accept(
         listener: SocketListener,
         n_slaves: usize,
         fault: Option<FaultPlan>,
     ) -> Result<Fleet, RuntimeError> {
-        if n_slaves == 0 {
-            return Err(RuntimeError::NoSlaves);
-        }
-        let (root, info) = listener
-            .accept_ranks(n_slaves, None)
-            .map_err(|e| RuntimeError::InvalidConfig(format!("accepting slaves: {e}")))?;
-        Ok(Fleet {
-            root,
-            n_slaves,
-            fault,
-            slaves: FleetSlaves::Remote(info),
-            control: FleetControl::new(None),
-            retired: vec![false; n_slaves + 1],
-        })
+        let elastic = listener.config().reconnect_window.is_some();
+        Fleet::accept_with(listener, n_slaves, fault, elastic)
     }
 
-    /// [`Fleet::accept`] with *elastic* membership: the listener stays
-    /// open in a background acceptor that splices reconnecting slaves,
-    /// fences new incarnations under a bumped fleet epoch, and admits
-    /// brand-new slaves mid-run (shipping them the current job). Set
-    /// [`SocketConfig::reconnect_window`]
-    /// (easyhps_net::SocketConfig::reconnect_window) on the listener (and
-    /// the slaves) to let severed links heal by redial.
+    /// [`Fleet::accept`] with *elastic* membership whatever the listener's
+    /// config: the listener stays open in a background acceptor that
+    /// splices reconnecting slaves, fences new incarnations under a bumped
+    /// fleet epoch, and admits brand-new slaves mid-run (shipping them the
+    /// current job). Set
+    /// [`SocketConfig::reconnect_window`](easyhps_net::SocketConfig::reconnect_window)
+    /// on the listener (and the slaves) to let severed links heal by
+    /// redial.
     pub fn accept_elastic(
         listener: SocketListener,
         n_slaves: usize,
     ) -> Result<Fleet, RuntimeError> {
+        Fleet::accept_with(listener, n_slaves, None, true)
+    }
+
+    fn accept_with(
+        listener: SocketListener,
+        n_slaves: usize,
+        fault: Option<FaultPlan>,
+        elastic: bool,
+    ) -> Result<Fleet, RuntimeError> {
         if n_slaves == 0 {
             return Err(RuntimeError::NoSlaves);
         }
-        let (root, info, acceptor) = listener
-            .accept_fleet(n_slaves, None)
-            .map_err(|e| RuntimeError::InvalidConfig(format!("accepting slaves: {e}")))?;
-        Ok(Fleet {
-            root,
-            n_slaves,
-            fault: None,
-            slaves: FleetSlaves::Remote(info),
-            control: FleetControl::new(Some(Arc::new(acceptor))),
-            retired: vec![false; n_slaves + 1],
-        })
+        let accepted = if elastic {
+            listener
+                .accept_fleet(n_slaves, None)
+                .map(|(root, info, acc)| (root, info, Some(acc)))
+        } else {
+            listener
+                .accept_ranks(n_slaves, None)
+                .map(|(root, info)| (root, info, None))
+        };
+        let (root, info, acceptor) =
+            accepted.map_err(|e| RuntimeError::InvalidConfig(format!("accepting slaves: {e}")))?;
+        let published = vec![LinkSnapshot::default(); info.links.len()];
+        let slaves = FleetSlaves::Remote { info, published };
+        Ok(Fleet::new(root, n_slaves, fault, slaves, acceptor))
     }
 
     /// An in-process fleet: `n_slaves` threads running the multi-job
@@ -152,18 +191,27 @@ impl Fleet {
             .map(|(i, ep)| {
                 std::thread::Builder::new()
                     .name(format!("fleet-slave-{}", i + 1))
-                    .spawn(move || slave_job_loop(ep, threads, None, None))
+                    .spawn(move || slave_job_loop(ep, threads, None))
                     .expect("spawn fleet slave")
             })
             .collect();
-        Ok(Fleet {
+        Ok(Fleet::new(
             root,
             n_slaves,
-            fault: None,
-            slaves: FleetSlaves::Local(handles),
-            control: FleetControl::new(None),
-            retired: vec![false; n_slaves + 1],
-        })
+            None,
+            FleetSlaves::Local(handles),
+            None,
+        ))
+    }
+
+    /// A fixed fleet over rank 0 of a channel network whose slave ranks
+    /// the caller drives itself (one-shot runs and tests).
+    pub(crate) fn over_channels(
+        root: Endpoint,
+        n_slaves: usize,
+        fault: Option<FaultPlan>,
+    ) -> Fleet {
+        Fleet::new(root, n_slaves, fault, FleetSlaves::Local(Vec::new()), None)
     }
 
     /// Number of slave slots in the fleet (the high-water rank; retired
@@ -236,10 +284,12 @@ impl Fleet {
         }
     }
 
-    /// Per-link socket counters; `None` for an in-process fleet.
+    /// Lifetime counters of every socket link the fleet has held, as of
+    /// the last finished job (links admitted mid-run included); `None`
+    /// for an in-process fleet.
     pub fn socket_info(&self) -> Option<&SocketInfo> {
         match &self.slaves {
-            FleetSlaves::Remote(info) => Some(info),
+            FleetSlaves::Remote { info, .. } => Some(info),
             FleetSlaves::Local(_) => None,
         }
     }
@@ -316,7 +366,6 @@ impl Fleet {
         if ready.is_empty() {
             return Err(RuntimeError::NoSlaves);
         }
-        let mut ep = self.root.fork(self.fault.clone());
         let payload = frame::seal_raw(&spec.encode());
         // Mid-run joiners (and re-incarnated slaves) must learn the job
         // too: the acceptor ships this to everyone it admits from now on.
@@ -326,22 +375,14 @@ impl Fleet {
         for r in &ready {
             // A link that died since the readiness barrier fails here;
             // the master's send-failure path excludes the slot.
-            let _ = ep.send(Rank(*r), tags::JOB, payload.clone());
+            let _ = self.root.send(Rank(*r), tags::JOB, payload.clone());
         }
         let mut deployment = spec.deployment(self.n_slaves, None);
-        deployment.obs = opts.obs.clone();
+        deployment.obs = opts.obs;
         deployment.checkpoint = opts.checkpoint;
         let model = spec.model();
         let out = with_problem!(&spec.problem, p => {
-            run_master_fleet(
-                ep,
-                &p,
-                &model,
-                &deployment,
-                opts.resume.as_ref(),
-                opts.tile_budget,
-                Some(&self.control),
-            )
+            self.run(&p, &model, &deployment, opts.resume.as_ref(), opts.tile_budget)
         });
         // Clear before propagating any error: a stale payload would ship
         // yesterday's job to tomorrow's joiners.
@@ -349,10 +390,38 @@ impl Fleet {
             acc.clear_join_payload();
         }
         let out = out?;
-        if let (Some(reg), Some(info)) = (&opts.obs.metrics, self.socket_info()) {
-            publish_socket_stats(reg, info);
-        }
         Ok(RemoteOutput {
+            matrix: out.matrix,
+            report: out.report,
+            checkpoint: out.checkpoint,
+            socket: self.socket_info().cloned(),
+        })
+    }
+
+    /// Run one job's master loop, its slaves already running the job:
+    /// fork the root endpoint with the fleet's master fault plan, drive
+    /// the loop with the fleet's control, publish the job's share of the
+    /// socket counters into its registry, and build the run report.
+    pub(crate) fn run<P: DpProblem>(
+        &mut self,
+        problem: &P,
+        model: &DagDataDrivenModel,
+        deployment: &Deployment,
+        resume: Option<&Checkpoint>,
+        tile_budget: Option<u64>,
+    ) -> Result<RunOutput<P::Cell>, RuntimeError> {
+        let ep = self.root.fork(self.fault.clone());
+        let out = run_master_fleet(
+            ep,
+            problem,
+            model,
+            deployment,
+            resume,
+            tile_budget,
+            Some(&self.control),
+        )?;
+        self.publish_socket_stats(deployment.obs.metrics.as_deref());
+        Ok(RunOutput {
             matrix: out.matrix,
             report: RunReport {
                 elapsed: out.elapsed,
@@ -361,8 +430,56 @@ impl Fleet {
                 trace: out.trace,
             },
             checkpoint: out.checkpoint,
-            socket: self.socket_info().cloned(),
+            metrics: deployment.obs.metrics.clone(),
         })
+    }
+
+    /// Add the links the acceptor admitted since the last job to the
+    /// fleet's link table, then export each link's counters accrued since
+    /// the last job into `reg`, one series set per link. Per-job deltas
+    /// keep a registry shared by several jobs — or one registry per job —
+    /// from counting a frame twice.
+    fn publish_socket_stats(&mut self, reg: Option<&Registry>) {
+        let FleetSlaves::Remote { info, published } = &mut self.slaves else {
+            return;
+        };
+        if let Some(acc) = &self.control.acceptor {
+            for r in 1..acc.n_ranks() as u32 {
+                let Some(stats) = acc.link_stats(r) else {
+                    continue;
+                };
+                if !info.links.iter().any(|(_, s)| Arc::ptr_eq(s, &stats)) {
+                    info.links.push((Rank(r), stats));
+                    published.push(LinkSnapshot::default());
+                }
+            }
+            info.n_ranks = info.n_ranks.max(acc.n_ranks());
+        }
+        for ((rank, stats), last) in info.links.iter().zip(published.iter_mut()) {
+            let now = stats.snapshot();
+            if let Some(reg) = reg {
+                let peer = rank.0.to_string();
+                let l = |name: &str| labeled(name, &[("link", &peer)]);
+                reg.gauge(&l("socket_bytes_queued"))
+                    .set(now.bytes_queued as i64);
+                for (name, total, seen) in [
+                    ("socket_frames_sent", now.frames_sent, last.frames_sent),
+                    ("socket_bytes_sent", now.bytes_sent, last.bytes_sent),
+                    ("socket_frames_recv", now.frames_recv, last.frames_recv),
+                    ("socket_bytes_recv", now.bytes_recv, last.bytes_recv),
+                    (
+                        "socket_frames_rejected",
+                        now.frames_rejected,
+                        last.frames_rejected,
+                    ),
+                    ("socket_reconnects", now.reconnects, last.reconnects),
+                    ("socket_disconnects", now.disconnects, last.disconnects),
+                ] {
+                    reg.counter(&l(name)).add(total - seen);
+                }
+            }
+            *last = now;
+        }
     }
 
     /// Send SHUTDOWN to every slave and tear the fleet down. Local slave
@@ -392,7 +509,7 @@ impl Fleet {
         // conns) or the socket writers would never exit.
         drop(control);
         match slaves {
-            FleetSlaves::Remote(_) => Vec::new(),
+            FleetSlaves::Remote { .. } => Vec::new(),
             FleetSlaves::Local(handles) => handles
                 .into_iter()
                 .filter_map(|h| h.join().ok().and_then(|r| r.ok()))
@@ -404,7 +521,12 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{AssignMsg, DoneMsg, SlaveStatsMsg};
+    use bytes::Bytes;
     use easyhps_core::GridDims;
+    use easyhps_dp::sequence::{random_sequence, Alphabet};
+    use easyhps_dp::DpMatrix;
+    use easyhps_net::{NetError, ReliableEndpoint, RetryPolicy};
 
     fn editdist_spec(a: &[u8], b: &[u8]) -> JobSpec {
         JobSpec::new(
@@ -417,7 +539,22 @@ mod tests {
         )
     }
 
-    /// The satellite fix, in-process: one fleet runs two different jobs
+    fn job_metrics(reg: &Arc<Registry>) -> JobOptions {
+        JobOptions {
+            obs: ObsConfig {
+                metrics: Some(reg.clone()),
+                recorder: None,
+            },
+            ..JobOptions::default()
+        }
+    }
+
+    fn frames_sent(reg: &Registry, link: u32) -> u64 {
+        let name = labeled("socket_frames_sent", &[("link", &link.to_string())]);
+        reg.snapshot().counter(&name).unwrap_or(0)
+    }
+
+    /// One fleet runs two different jobs
     /// back to back over the same links, both bit-identical to their
     /// sequential references.
     #[test]
@@ -458,17 +595,10 @@ mod tests {
             .into_iter()
             .map(|ep| {
                 kills.push(ep.kill_handle());
-                std::thread::spawn(move || slave_job_loop(ep, None, None, None))
+                std::thread::spawn(move || slave_job_loop(ep, None, None))
             })
             .collect();
-        let mut fleet = Fleet {
-            root,
-            n_slaves: 2,
-            fault: None,
-            slaves: FleetSlaves::Local(handles),
-            control: FleetControl::new(None),
-            retired: vec![false; 3],
-        };
+        let mut fleet = Fleet::new(root, 2, None, FleetSlaves::Local(handles), None);
 
         let spec = editdist_spec(b"a job for two slaves", b"before one dies");
         let out = fleet.run_job(&spec, JobOptions::default()).unwrap();
@@ -537,8 +667,16 @@ mod tests {
         assert_eq!(acc.live_ranks().len(), 2, "joiner not admitted");
 
         let spec = editdist_spec(b"now two slaves share it", b"the job after the join");
-        let out = fleet.run_job(&spec, JobOptions::default()).unwrap();
+        let reg = Arc::new(Registry::new());
+        let out = fleet.run_job(&spec, job_metrics(&reg)).unwrap();
         assert_eq!(fleet.n_slaves(), 2);
+        // The joiner's link is published even though it is not one of
+        // the links the fleet was accepted with.
+        assert!(
+            frames_sent(&reg, 2) > 0,
+            "the joiner's link must be published: {}",
+            reg.snapshot().render_text()
+        );
         let reference = spec.problem.solve_sequential();
         let d = reference.dims();
         assert_eq!(
@@ -592,20 +730,120 @@ mod tests {
             })
             .collect();
         let mut fleet = Fleet::accept(listener, 2, None).unwrap();
+        let mut regs = Vec::new();
         for text in ["the first job of the fleet", "and a different second one"] {
             let spec = editdist_spec(text.as_bytes(), b"a shared reference string");
-            let out = fleet.run_job(&spec, JobOptions::default()).unwrap();
+            let reg = Arc::new(Registry::new());
+            let out = fleet.run_job(&spec, job_metrics(&reg)).unwrap();
             let reference = spec.problem.solve_sequential();
             let d = reference.dims();
             assert_eq!(
                 out.matrix.get(d.rows - 1, d.cols - 1),
                 reference.get(d.rows - 1, d.cols - 1)
             );
+            let m = &out.report.master;
+            assert_eq!(m.completed, m.dispatched + m.resumed - m.redispatched);
+            regs.push(reg);
         }
+        // Each job's registry holds that job's frames only: together they
+        // cannot exceed what the link has carried in its lifetime.
+        let lifetime = fleet
+            .socket_info()
+            .and_then(|info| info.link(Rank(1)))
+            .unwrap()
+            .snapshot()
+            .frames_sent;
+        let (first, second) = (frames_sent(&regs[0], 1), frames_sent(&regs[1], 1));
+        assert!(first > 0 && second > 0, "both jobs used link 1");
+        assert!(
+            first + second <= lifetime,
+            "job 2 counted job 1's frames again: {first} + {second} > {lifetime}"
+        );
         fleet.shutdown();
         for s in slaves {
             let summary = s.join().unwrap().unwrap();
             assert_eq!(summary.jobs, 2, "slave must have served both jobs");
         }
+    }
+
+    #[test]
+    fn budget_stop_drains_in_flight_completions_into_the_checkpoint() {
+        // Two slaves each take one of Nussinov's initially computable
+        // diagonal tiles; the budget is 1. The first DONE reaches the budget;
+        // the second arrives during teardown and must land in the matrix and
+        // checkpoint instead of being discarded (pre-fix: finished_len == 1
+        // and the tile is recomputed on resume).
+        let problem = Nussinov::new(random_sequence(Alphabet::Rna, 40, 150));
+        let model = DagDataDrivenModel::builder(problem.pattern())
+            .process_partition_size(GridDims::square(10))
+            .thread_partition_size(GridDims::square(4))
+            .build();
+        let dims = model.dag_size();
+        let config = Deployment::local(2, 1);
+
+        let mut eps = Network::new(3);
+        let ep_b = eps.pop().unwrap();
+        let ep_a = eps.pop().unwrap();
+        let master_ep = eps.pop().unwrap();
+
+        let mut rep_a = ReliableEndpoint::new(ep_a, RetryPolicy::default());
+        let mut rep_b = ReliableEndpoint::new(ep_b, RetryPolicy::default());
+        // Both IDLEs are queued before the master starts, so both slaves get
+        // an assignment before the first completion can reach the budget.
+        rep_a
+            .send_reliable(Rank(0), tags::IDLE, Bytes::new())
+            .unwrap();
+        rep_b
+            .send_reliable(Rank(0), tags::IDLE, Bytes::new())
+            .unwrap();
+
+        let serve = move |mut rep: ReliableEndpoint| {
+            let zeros = DpMatrix::<i32>::new(dims);
+            loop {
+                match rep.recv_timeout(Duration::from_millis(20)) {
+                    Ok(env) if env.tag == tags::ASSIGN => {
+                        let msg = AssignMsg::decode(&env.payload).unwrap();
+                        let done = DoneMsg {
+                            task: msg.task,
+                            epoch: msg.epoch,
+                            region: msg.region,
+                            output: zeros.encode_region(msg.region),
+                        };
+                        rep.send_reliable(Rank(0), tags::DONE, done.encode())
+                            .unwrap();
+                    }
+                    Ok(env) if env.tag == tags::END => {
+                        rep.send_reliable(Rank(0), tags::STATS, SlaveStatsMsg::default().encode())
+                            .unwrap();
+                        rep.drain_pending(Duration::from_secs(1));
+                        return;
+                    }
+                    Ok(_) | Err(NetError::Timeout) => {}
+                    Err(_) => return,
+                }
+            }
+        };
+
+        let out = std::thread::scope(|s| {
+            s.spawn(move || serve(rep_a));
+            s.spawn(move || serve(rep_b));
+            let mut fleet = Fleet::over_channels(master_ep, 2, None);
+            fleet.run(&problem, &model, &config, None, Some(1)).unwrap()
+        });
+
+        assert_eq!(
+            out.report.master.dispatched, 2,
+            "both diagonal tiles dispatched before the budget hit; none after"
+        );
+        assert_eq!(
+            out.report.master.completed, 2,
+            "the in-flight completion was accepted during teardown"
+        );
+        let cp = out.checkpoint.expect("budget stop yields a checkpoint");
+        assert_eq!(
+            cp.finished_len(),
+            2,
+            "teardown-drained DONE is in the checkpoint, not recomputed later"
+        );
     }
 }

@@ -67,7 +67,7 @@ pub use easyhps_net::RetryPolicy;
 pub use easyhps_obs::{EventRecorder, Registry, Snapshot};
 pub use error::RuntimeError;
 pub use fleet::{Fleet, JobOptions};
-pub use master::{run_master, run_master_fleet, run_master_with, FleetControl, MasterOutput};
+pub use master::{run_master, FleetControl, MasterOutput};
 pub use pool::{OvertimeEntry, OvertimeQueue, RegisterTable, TaskStack};
 pub use protocol::{tags, AssignMsg, DoneMsg, SlaveStatsMsg};
 pub use shared_grid::{ExclusiveGrid, SharedGrid, TaskView};

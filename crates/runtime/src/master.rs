@@ -26,6 +26,11 @@
 //! was excluded during a transient outage is re-admitted the moment it is
 //! heard from again.
 //!
+//! [`crate::Fleet`] is the loop's only caller: [`crate::EasyHps::run`],
+//! `easyhps master` and the serve daemon all gather their slaves into a
+//! fleet and run through it. The public [`run_master`] remains for
+//! clusters built by hand over a [`easyhps_net::Network`].
+//!
 //! One deviation from the paper's thread layout: instead of one blocking
 //! worker thread per slave node sharing the MPI context, the master
 //! multiplexes all slaves on its single endpoint and keeps a worker *slot*
@@ -58,8 +63,8 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Default)]
 pub struct FleetControl {
     /// Elastic acceptor admitting reconnections and mid-run joiners.
-    /// `None` for fixed-membership (local or `accept_ranks`) fleets,
-    /// where only drain requests apply.
+    /// `None` for fixed-membership fleets (in-process, or sockets
+    /// without a reconnect window), where only drain requests apply.
     pub acceptor: Option<Arc<FleetAcceptor>>,
     /// Ranks the operator asked to drain. The running master consumes
     /// them, stops assigning to each, and releases the rank back to the
@@ -161,39 +166,30 @@ impl<C: easyhps_dp::Cell> DoneCtx<'_, C> {
     }
 }
 
-/// Run the master loop to completion. `ep` must be rank 0 of a network
-/// whose ranks `1..=config.slaves` run [`crate::run_slave`].
+/// Run the master loop to completion over a hand-built cluster: `ep`
+/// must be rank 0 of a network whose ranks `1..=config.slaves` run
+/// [`crate::run_slave`]. Every other way of running a master —
+/// [`crate::EasyHps::run`], `easyhps master`, the serve daemon — goes
+/// through [`crate::Fleet`].
 pub fn run_master<P: DpProblem>(
     ep: Endpoint,
     problem: &P,
     model: &DagDataDrivenModel,
     config: &Deployment,
 ) -> Result<MasterOutput<P::Cell>, RuntimeError> {
-    run_master_with(ep, problem, model, config, None, None)
+    run_master_fleet(ep, problem, model, config, None, None, None)
 }
 
-/// [`run_master`] with checkpoint/restart controls: `resume` preloads the
-/// finished sub-tasks of a prior run; `tile_budget` stops dispatching
-/// after that many completions (counting resumed ones) and returns a
-/// [`Checkpoint`] in the output.
-pub fn run_master_with<P: DpProblem>(
-    ep: Endpoint,
-    problem: &P,
-    model: &DagDataDrivenModel,
-    config: &Deployment,
-    resume: Option<&Checkpoint>,
-    tile_budget: Option<u64>,
-) -> Result<MasterOutput<P::Cell>, RuntimeError> {
-    run_master_fleet(ep, problem, model, config, resume, tile_budget, None)
-}
-
-/// [`run_master_with`] for an *elastic* fleet: when `fleet` is given, the
-/// master polls its acceptor for membership changes every loop iteration
-/// — splices are transparent, new incarnations are re-fenced under a
-/// bumped epoch (their zombie DONEs rejected by the epoch echo), mid-run
-/// joiners grow the schedule — and consumes its drain requests.
+/// The master loop. `resume` preloads the finished sub-tasks of a prior
+/// run; `tile_budget` stops dispatching after that many completions
+/// (counting resumed ones) and returns a [`Checkpoint`] in the output.
+/// When `fleet` is given, the master consumes its drain requests and, if
+/// it carries an elastic acceptor, polls it for membership changes every
+/// loop iteration — splices are transparent, new incarnations are
+/// re-fenced under a bumped epoch (their zombie DONEs rejected by the
+/// epoch echo), mid-run joiners grow the schedule.
 #[allow(clippy::too_many_lines)] // the one I/O shell around the machine
-pub fn run_master_fleet<P: DpProblem>(
+pub(crate) fn run_master_fleet<P: DpProblem>(
     ep: Endpoint,
     problem: &P,
     model: &DagDataDrivenModel,

@@ -1,16 +1,16 @@
-//! Multi-process deployment: master and slaves as separate OS processes
-//! over the socket transport.
+//! Multi-process deployment: the job description a remote slave runs
+//! from, and the slave side of the socket transport.
 //!
-//! In-process runs hand every rank an [`Arc`] of the same problem; a
+//! In-process runs hand every rank an `Arc` of the same problem; a
 //! remote slave has nothing, so the master ships a [`JobSpec`] — the
 //! problem's defining data plus the partition sizes and deployment knobs
-//! both sides must agree on — as the first message after the socket
-//! handshake (tag [`tags::JOB`], sealed with the CRC frame layer). The
-//! slave reconstructs the problem and model locally and then runs the
-//! ordinary [`run_slave_with_storage`] loop; the master runs the
-//! ordinary [`run_master_with`]. Everything above the transport —
-//! reliable control messages, heartbeats, fault tolerance, durable
-//! checkpoints — is byte-identical to the in-process path.
+//! both sides must agree on — as a sealed [`tags::JOB`] frame. The master
+//! side is [`Fleet::run_job`](crate::Fleet::run_job); the slave side is
+//! [`serve_slave_jobs`], which reconstructs the problem and model locally
+//! and runs the ordinary slave loop once per shipped job. Everything
+//! above the transport — reliable control messages, heartbeats, fault
+//! tolerance, durable checkpoints — is byte-identical to the in-process
+//! path.
 //!
 //! The remote problem repertoire is the closed set of workloads the CLI
 //! can name ([`RemoteProblem`]); all of them share `Cell = i32`, which
@@ -18,20 +18,16 @@
 
 use crate::checkpoint::Checkpoint;
 use crate::config::{Deployment, ObsConfig, RunReport};
-use crate::durable::CheckpointPolicy;
 use crate::protocol::{tags, SlaveStatsMsg};
-use crate::shared_grid::SharedGrid;
-use crate::slave::run_slave_with_storage;
-use crate::storage::SparseGrid;
+use crate::slave::run_slave_in;
 use crate::{MemoryMode, RuntimeError};
 use easyhps_core::{DagDataDrivenModel, GridDims, ScheduleMode};
 use easyhps_dp::{
     DpMatrix, DpProblem, EditDistance, GapPenalty, Lcs, NeedlemanWunsch, Nussinov,
     SmithWatermanGeneralGap, Substitution,
 };
-use easyhps_net::socket::{connect, SocketConfig, SocketInfo, SocketListener};
+use easyhps_net::socket::{connect, SocketConfig, SocketInfo};
 use easyhps_net::{frame, NetAddr, Rank, RetryPolicy, WireError, WireReader, WireWriter};
-use easyhps_obs::{labeled, Registry};
 use std::time::Duration;
 
 fn io_err(what: &str, e: std::io::Error) -> RuntimeError {
@@ -468,24 +464,7 @@ impl JobSpec {
     }
 }
 
-/// Options for the master side of a multi-process run.
-#[derive(Debug, Default)]
-pub struct RemoteMasterOptions {
-    /// Socket knobs (frame bound, backpressure mark, timeouts).
-    pub socket: SocketConfig,
-    /// Fault plan for the master's own endpoint (drills).
-    pub fault: Option<easyhps_net::FaultPlan>,
-    /// Resume from a previously captured checkpoint.
-    pub resume: Option<Checkpoint>,
-    /// Stop after this many tile completions and return a checkpoint.
-    pub tile_budget: Option<u64>,
-    /// Observability wiring (metrics registry, event recorder).
-    pub obs: ObsConfig,
-    /// Durable checkpoint policy.
-    pub checkpoint: Option<CheckpointPolicy>,
-}
-
-/// Outcome of a multi-process master run.
+/// Outcome of one [`Fleet::run_job`](crate::Fleet::run_job).
 #[derive(Debug)]
 pub struct RemoteOutput {
     /// The computed global matrix (all remote problems use `i32` cells).
@@ -494,43 +473,10 @@ pub struct RemoteOutput {
     pub report: RunReport,
     /// Present when a tile budget stopped the run early.
     pub checkpoint: Option<Checkpoint>,
-    /// Per-link socket counters of the master endpoint; `None` for an
-    /// in-process fleet, whose links are plain channels.
+    /// Lifetime counters of every socket link the fleet has held, mid-run
+    /// joiners included; `None` for an in-process fleet, whose links are
+    /// plain channels.
     pub socket: Option<SocketInfo>,
-}
-
-/// Run the master side of a multi-process job on an already-bound
-/// listener: accept `slaves` connections, ship one [`JobSpec`], run the
-/// ordinary master loop over the socket endpoint, and shut the fleet
-/// down. One-shot sugar over [`Fleet`](crate::fleet::Fleet), which the
-/// serve daemon uses directly to run many jobs over the same
-/// connections.
-pub fn run_remote_master(
-    listener: SocketListener,
-    spec: &JobSpec,
-    slaves: usize,
-    opts: RemoteMasterOptions,
-) -> Result<RemoteOutput, RuntimeError> {
-    // A reconnect window on the socket config opts into elastic
-    // membership (session resumption, mid-run join, drain). Fault
-    // injection stays on the fixed-membership path: a fault plan replays
-    // per incarnation and would desynchronize across a splice.
-    let mut fleet = if opts.socket.reconnect_window.is_some() && opts.fault.is_none() {
-        crate::fleet::Fleet::accept_elastic(listener, slaves)?
-    } else {
-        crate::fleet::Fleet::accept(listener, slaves, opts.fault)?
-    };
-    let out = fleet.run_job(
-        spec,
-        crate::fleet::JobOptions {
-            obs: opts.obs.clone(),
-            checkpoint: opts.checkpoint,
-            resume: opts.resume,
-            tile_budget: opts.tile_budget,
-        },
-    )?;
-    fleet.shutdown();
-    Ok(out)
 }
 
 /// Options for the slave side of a multi-process run.
@@ -546,8 +492,6 @@ pub struct RemoteSlaveOptions {
     pub memory: Option<MemoryMode>,
     /// Socket knobs.
     pub socket: SocketConfig,
-    /// Fault plan for this slave's endpoint (drills).
-    pub fault: Option<easyhps_net::FaultPlan>,
 }
 
 impl RemoteSlaveOptions {
@@ -559,7 +503,6 @@ impl RemoteSlaveOptions {
             threads: None,
             memory: None,
             socket: SocketConfig::default(),
-            fault: None,
         }
     }
 }
@@ -587,7 +530,6 @@ pub(crate) fn slave_job_loop(
     mut root: easyhps_net::Endpoint,
     threads: Option<usize>,
     memory: Option<MemoryMode>,
-    fault: Option<easyhps_net::FaultPlan>,
 ) -> Result<SlaveServeSummary, RuntimeError> {
     let master = Rank(0);
     let mut summary = SlaveServeSummary::default();
@@ -637,16 +579,9 @@ pub(crate) fn slave_job_loop(
                 let deployment = spec.deployment(n_slaves, threads);
                 let model = spec.model();
                 let mem = memory.unwrap_or(spec.memory);
-                let ep = root.fork(fault.clone());
+                let ep = root.fork(None);
                 let stats = with_problem!(&spec.problem, p => {
-                    match mem {
-                        MemoryMode::Dense => {
-                            run_slave_with_storage::<_, SharedGrid<i32>>(ep, &p, &model, &deployment)
-                        }
-                        MemoryMode::Sparse => {
-                            run_slave_with_storage::<_, SparseGrid<i32>>(ep, &p, &model, &deployment)
-                        }
-                    }
+                    run_slave_in(mem, ep, &p, &model, &deployment)
                 })?;
                 announce = true;
                 summary.jobs += 1;
@@ -673,33 +608,7 @@ pub(crate) fn slave_job_loop(
 pub fn serve_slave_jobs(opts: RemoteSlaveOptions) -> Result<SlaveServeSummary, RuntimeError> {
     let (ep, _info) = connect(&opts.addr, opts.want_rank, opts.socket, None)
         .map_err(|e| io_err("connecting to master", e))?;
-    slave_job_loop(ep, opts.threads, opts.memory, opts.fault)
-}
-
-/// Back-compat single-result wrapper over [`serve_slave_jobs`]: serve
-/// until shutdown and return the summed stats.
-pub fn serve_slave(opts: RemoteSlaveOptions) -> Result<SlaveStatsMsg, RuntimeError> {
-    Ok(serve_slave_jobs(opts)?.stats)
-}
-
-/// Export per-link socket counters (bytes queued, reconnects, frames
-/// rejected, traffic) into a metrics registry, one series set per link.
-pub fn publish_socket_stats(reg: &Registry, info: &SocketInfo) {
-    for (rank, stats) in &info.links {
-        let s = stats.snapshot();
-        let peer = rank.0.to_string();
-        let l = |name: &str| labeled(name, &[("link", &peer)]);
-        reg.gauge(&l("socket_bytes_queued"))
-            .set(s.bytes_queued as i64);
-        reg.counter(&l("socket_frames_sent")).add(s.frames_sent);
-        reg.counter(&l("socket_bytes_sent")).add(s.bytes_sent);
-        reg.counter(&l("socket_frames_recv")).add(s.frames_recv);
-        reg.counter(&l("socket_bytes_recv")).add(s.bytes_recv);
-        reg.counter(&l("socket_frames_rejected"))
-            .add(s.frames_rejected);
-        reg.counter(&l("socket_reconnects")).add(s.reconnects);
-        reg.counter(&l("socket_disconnects")).add(s.disconnects);
-    }
+    slave_job_loop(ep, opts.threads, opts.memory)
 }
 
 #[cfg(test)]
@@ -763,45 +672,5 @@ mod tests {
                 bytes.len()
             );
         }
-    }
-
-    /// Full multi-process semantics in one process: a master thread and
-    /// two slave threads joined only by TCP, exchanging the job spec and
-    /// computing a matrix identical to the sequential reference.
-    #[test]
-    fn tcp_job_runs_end_to_end() {
-        let problem = RemoteProblem::EditDistance {
-            a: b"the quick brown fox jumps over the lazy dog".to_vec(),
-            b: b"the quick brown cat naps over the lazy dog".to_vec(),
-        };
-        let spec = JobSpec::new(problem, GridDims::new(8, 8), GridDims::new(4, 4));
-        let listener = SocketListener::bind(
-            &NetAddr::parse("127.0.0.1:0").unwrap(),
-            SocketConfig::default(),
-        )
-        .unwrap();
-        let addr = listener.local_addr();
-        let slaves: Vec<_> = (1..=2u32)
-            .map(|r| {
-                let mut o = RemoteSlaveOptions::new(addr.clone());
-                o.want_rank = Some(r);
-                std::thread::spawn(move || serve_slave(o))
-            })
-            .collect();
-        let out = run_remote_master(listener, &spec, 2, RemoteMasterOptions::default()).unwrap();
-        for s in slaves {
-            s.join().unwrap().unwrap();
-        }
-        let reference = EditDistance::new(
-            b"the quick brown fox jumps over the lazy dog".to_vec(),
-            b"the quick brown cat naps over the lazy dog".to_vec(),
-        )
-        .solve_sequential();
-        assert_eq!(out.matrix.get(43, 42), reference.get(43, 42));
-        assert_eq!(
-            out.report.master.completed,
-            out.report.master.dispatched + out.report.master.resumed
-                - out.report.master.redispatched
-        );
     }
 }

@@ -24,8 +24,8 @@ use crate::obs::{lane_of, publish_endpoint_stats, registry_of, SlaveMetrics, TID
 use crate::protocol::{tags, AssignMsg, DoneMsg, SlaveStatsMsg};
 use crate::sched::{PoolAction, PoolEvent, PoolLog, PoolSched};
 use crate::shared_grid::SharedGrid;
-use crate::storage::NodeStorage;
-use crate::RuntimeError;
+use crate::storage::{NodeStorage, SparseGrid};
+use crate::{MemoryMode, RuntimeError};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use easyhps_core::{DagDataDrivenModel, GridPos, TileRegion, VertexId};
 use easyhps_dp::DpProblem;
@@ -167,9 +167,25 @@ pub fn run_slave<P: DpProblem>(
     run_slave_with_storage::<P, SharedGrid<P::Cell>>(ep, problem, model, config)
 }
 
+/// Run the slave loop on `ep` with the node storage `memory` selects —
+/// the one storage dispatch every slave (one-shot or fleet) goes through.
+pub(crate) fn run_slave_in<P: DpProblem>(
+    memory: MemoryMode,
+    ep: Endpoint,
+    problem: &P,
+    model: &DagDataDrivenModel,
+    config: &Deployment,
+) -> Result<SlaveStatsMsg, RuntimeError> {
+    match memory {
+        MemoryMode::Dense => run_slave(ep, problem, model, config),
+        MemoryMode::Sparse => {
+            run_slave_with_storage::<P, SparseGrid<P::Cell>>(ep, problem, model, config)
+        }
+    }
+}
+
 /// [`run_slave`] generic over the node-matrix storage strategy (dense
-/// [`SharedGrid`] or sparse
-/// [`SparseGrid`](crate::storage::SparseGrid)).
+/// [`SharedGrid`] or sparse [`SparseGrid`]).
 pub fn run_slave_with_storage<P: DpProblem, S: NodeStorage<P::Cell>>(
     ep: Endpoint,
     problem: &P,

@@ -1,7 +1,8 @@
 //! Fault-path drills: lossy-network survival end-to-end, and regression
 //! tests for the scheduler's single-drop failure modes (static-mode
-//! livelock, dispatch-failure bookkeeping, the teardown stats race, and
-//! checkpoint loss of in-flight completions on a budget stop).
+//! livelock, dispatch-failure bookkeeping, the teardown stats race). The
+//! budget-stop checkpoint drill drives the crate-private fleet run
+//! primitive, so it lives with the fleet's unit tests.
 //!
 //! The hand-driven tests speak the wire protocol through a
 //! [`ReliableEndpoint`] directly, playing a slave that is slow, silent or
@@ -12,8 +13,8 @@ use easyhps_dp::sequence::{random_sequence, Alphabet};
 use easyhps_dp::{DpMatrix, DpProblem, EditDistance, Nussinov, SmithWatermanGeneralGap};
 use easyhps_net::{FaultPlan, NetError, Network, Rank, ReliableEndpoint, RetryPolicy};
 use easyhps_runtime::{
-    run_master, run_master_with, run_slave, tags, AssignMsg, Deployment, DoneMsg, EasyHps,
-    ScheduleMode, SlaveStatsMsg,
+    run_master, run_slave, tags, AssignMsg, Deployment, DoneMsg, EasyHps, ScheduleMode,
+    SlaveStatsMsg,
 };
 use std::time::{Duration, Instant};
 
@@ -399,91 +400,6 @@ fn stats_from_excluded_slave_do_not_satisfy_a_live_slaves_slot() {
     assert!(
         out.slave_stats[0].is_some(),
         "the excluded slave's stats are still recorded"
-    );
-}
-
-// ---------------------------------------------------------------------
-// Satellite: in-flight DONEs are drained into the checkpoint on a budget
-// stop.
-// ---------------------------------------------------------------------
-
-#[test]
-fn budget_stop_drains_in_flight_completions_into_the_checkpoint() {
-    // Two slaves each take one of Nussinov's initially computable
-    // diagonal tiles; the budget is 1. The first DONE reaches the budget;
-    // the second arrives during teardown and must land in the matrix and
-    // checkpoint instead of being discarded (pre-fix: finished_len == 1
-    // and the tile is recomputed on resume).
-    let problem = Nussinov::new(random_sequence(Alphabet::Rna, 40, 150));
-    let model = easyhps_core::DagDataDrivenModel::builder(problem.pattern())
-        .process_partition_size(easyhps_core::GridDims::square(10))
-        .thread_partition_size(easyhps_core::GridDims::square(4))
-        .build();
-    let dims = model.dag_size();
-    let config = Deployment::local(2, 1);
-
-    let mut eps = Network::new(3);
-    let ep_b = eps.pop().unwrap();
-    let ep_a = eps.pop().unwrap();
-    let master_ep = eps.pop().unwrap();
-
-    let mut rep_a = ReliableEndpoint::new(ep_a, RetryPolicy::default());
-    let mut rep_b = ReliableEndpoint::new(ep_b, RetryPolicy::default());
-    // Both IDLEs are queued before the master starts, so both slaves get
-    // an assignment before the first completion can reach the budget.
-    rep_a
-        .send_reliable(Rank(0), tags::IDLE, Bytes::new())
-        .unwrap();
-    rep_b
-        .send_reliable(Rank(0), tags::IDLE, Bytes::new())
-        .unwrap();
-
-    let serve = move |mut rep: ReliableEndpoint| {
-        let zeros = DpMatrix::<i32>::new(dims);
-        loop {
-            match rep.recv_timeout(Duration::from_millis(20)) {
-                Ok(env) if env.tag == tags::ASSIGN => {
-                    let msg = AssignMsg::decode(&env.payload).unwrap();
-                    let done = DoneMsg {
-                        task: msg.task,
-                        epoch: msg.epoch,
-                        region: msg.region,
-                        output: zeros.encode_region(msg.region),
-                    };
-                    rep.send_reliable(Rank(0), tags::DONE, done.encode())
-                        .unwrap();
-                }
-                Ok(env) if env.tag == tags::END => {
-                    rep.send_reliable(Rank(0), tags::STATS, SlaveStatsMsg::default().encode())
-                        .unwrap();
-                    rep.drain_pending(Duration::from_secs(1));
-                    return;
-                }
-                Ok(_) | Err(NetError::Timeout) => {}
-                Err(_) => return,
-            }
-        }
-    };
-
-    let out = std::thread::scope(|s| {
-        s.spawn(move || serve(rep_a));
-        s.spawn(move || serve(rep_b));
-        run_master_with(master_ep, &problem, &model, &config, None, Some(1)).unwrap()
-    });
-
-    assert_eq!(
-        out.stats.dispatched, 2,
-        "both diagonal tiles dispatched before the budget hit; none after"
-    );
-    assert_eq!(
-        out.stats.completed, 2,
-        "the in-flight completion was accepted during teardown"
-    );
-    let cp = out.checkpoint.expect("budget stop yields a checkpoint");
-    assert_eq!(
-        cp.finished_len(),
-        2,
-        "teardown-drained DONE is in the checkpoint, not recomputed later"
     );
 }
 

@@ -598,27 +598,30 @@ fn build_job_spec(args: &Args, who: &str) -> Result<easyhps::runtime::remote::Jo
 /// Master half of a multi-process run: bind, announce the address, ship
 /// the job to every slave, run, print the result CRC.
 fn cmd_master(args: &Args) -> Result<(), String> {
-    use easyhps::runtime::remote::{run_remote_master, RemoteMasterOptions};
-    use easyhps::runtime::ObsConfig;
+    use easyhps::runtime::{Fleet, JobOptions, ObsConfig};
     use std::io::Write;
 
     let listen = args.get("listen").ok_or("master: --listen ADDR required")?;
     let slaves = args.get_num("slaves", 2usize)?;
     let spec = build_job_spec(args, "master")?;
 
-    let mut opts = RemoteMasterOptions::default();
+    // A reconnect window on the listener makes the fleet elastic.
+    let mut socket = easyhps::net::SocketConfig::default();
     if let Some(ms) = args.get("reconnect-ms") {
         let ms: u64 = ms
             .parse()
             .map_err(|_| format!("--reconnect-ms: cannot parse '{ms}'"))?;
-        opts.socket.reconnect_window = Some(std::time::Duration::from_millis(ms));
+        socket.reconnect_window = Some(std::time::Duration::from_millis(ms));
     }
     let registry = args
         .has("metrics")
         .then(|| std::sync::Arc::new(easyhps::runtime::Registry::new()));
-    opts.obs = ObsConfig {
-        metrics: registry.clone(),
-        recorder: None,
+    let mut opts = JobOptions {
+        obs: ObsConfig {
+            metrics: registry.clone(),
+            recorder: None,
+        },
+        ..JobOptions::default()
     };
     if let Some(dir) = args.get("checkpoint-dir") {
         let mut policy = easyhps::CheckpointPolicy::new(dir);
@@ -643,7 +646,7 @@ fn cmd_master(args: &Args) -> Result<(), String> {
     }
 
     let addr = easyhps::net::NetAddr::parse(listen)?;
-    let listener = easyhps::net::SocketListener::bind(&addr, opts.socket.clone())
+    let listener = easyhps::net::SocketListener::bind(&addr, socket)
         .map_err(|e| format!("binding {addr}: {e}"))?;
     // The bound address (the kernel fills in port 0) goes out first and
     // flushed, so a parent orchestrating the processes can read it and
@@ -651,7 +654,9 @@ fn cmd_master(args: &Args) -> Result<(), String> {
     println!("listening: {}", listener.local_addr());
     std::io::stdout().flush().ok();
 
-    let out = run_remote_master(listener, &spec, slaves, opts).map_err(|e| e.to_string())?;
+    let mut fleet = Fleet::accept(listener, slaves, None).map_err(|e| e.to_string())?;
+    let out = fleet.run_job(&spec, opts).map_err(|e| e.to_string())?;
+    fleet.shutdown();
     let m = &out.report.master;
     println!(
         "completed: {} tile(s) in {:.3}s ({} redispatched, {} resumed)",
@@ -683,7 +688,7 @@ fn cmd_master(args: &Args) -> Result<(), String> {
 /// Slave half of a multi-process run: connect and serve until the master
 /// ends the run.
 fn cmd_slave(args: &Args) -> Result<(), String> {
-    use easyhps::runtime::remote::{serve_slave, RemoteSlaveOptions};
+    use easyhps::runtime::remote::{serve_slave_jobs, RemoteSlaveOptions};
 
     let addr = args
         .get("connect")
@@ -704,7 +709,7 @@ fn cmd_slave(args: &Args) -> Result<(), String> {
             .map_err(|_| format!("--reconnect-ms: cannot parse '{ms}'"))?;
         opts.socket.reconnect_window = Some(std::time::Duration::from_millis(ms));
     }
-    let stats = serve_slave(opts).map_err(|e| e.to_string())?;
+    let stats = serve_slave_jobs(opts).map_err(|e| e.to_string())?.stats;
     println!(
         "slave done: {} sub-task(s), {} sub-sub-task(s), {} thread failure(s) recovered",
         stats.tasks_done, stats.subtasks_done, stats.thread_failures

@@ -5,7 +5,7 @@ use easyhps::dp::sequence::{parse_fasta, random_sequence, to_fasta, Alphabet};
 use easyhps::dp::{DpProblem, Nussinov, SmithWatermanGeneralGap};
 use easyhps::net::FaultPlan;
 use easyhps::sim::{simulate, SimConfig, SimWorkload};
-use easyhps::{EasyHps, ScheduleMode};
+use easyhps::{EasyHps, ScheduleMode, TransportKind};
 use std::time::Duration;
 
 #[test]
@@ -149,4 +149,43 @@ fn deployment_core_accounting_is_exposed() {
     let e = EasyHps::new(p).slaves(4).threads_per_slave(11);
     // X = 5 nodes, ct = 11: the paper's Experiment_5_53.
     assert_eq!(e.deployment().total_cores(), 53);
+}
+
+#[test]
+fn socket_transports_match_sequential_and_publish_link_counters() {
+    // Fixed and elastic membership over both socket kinds: every run is
+    // bit-identical to the sequential solve, and the master publishes
+    // per-link socket counters into the run's registry.
+    let a = random_sequence(Alphabet::Dna, 60, 11);
+    let b = random_sequence(Alphabet::Dna, 52, 12);
+    let reference = easyhps::dp::EditDistance::new(a.clone(), b.clone()).solve_sequential();
+    for transport in [TransportKind::Uds, TransportKind::Tcp] {
+        for reconnect in [None, Some(Duration::from_secs(2))] {
+            let mut run = EasyHps::new(easyhps::dp::EditDistance::new(a.clone(), b.clone()))
+                .process_partition((15, 15))
+                .thread_partition((5, 5))
+                .slaves(2)
+                .threads_per_slave(2)
+                .transport(transport)
+                .metrics(true);
+            if let Some(window) = reconnect {
+                run = run.reconnect(window);
+            }
+            let out = run.run().unwrap();
+            assert_eq!(
+                out.matrix, reference,
+                "{transport:?} reconnect={reconnect:?}"
+            );
+            let sent = out
+                .metrics
+                .expect("metrics were enabled")
+                .snapshot()
+                .counter(r#"socket_frames_sent{link="1"}"#)
+                .unwrap_or(0);
+            assert!(
+                sent > 0,
+                "{transport:?} reconnect={reconnect:?}: no frames on link 1"
+            );
+        }
+    }
 }
