@@ -176,6 +176,22 @@ mod tests {
         }
     }
 
+    /// Frames as sealed by the byte-at-a-time CRC implementation, before
+    /// the hardware path existed: every implementation must keep
+    /// producing and accepting exactly these bytes, so older peers stay
+    /// compatible.
+    #[test]
+    fn sealed_frames_match_golden_bytes() {
+        const DATA_42: [u8; 20] = [
+            124, 209, 242, 203, 1, 42, 0, 0, 0, 0, 0, 0, 0, 112, 97, 121, 108, 111, 97, 100,
+        ];
+        const ACK_7: [u8; 13] = [198, 183, 45, 172, 2, 7, 0, 0, 0, 0, 0, 0, 0];
+        assert_eq!(&seal_data(42, b"payload")[..], &DATA_42);
+        assert_eq!(&seal_ack(7)[..], &ACK_7);
+        assert_eq!(check(&DATA_42), Ok(Frame::Data { seq: 42 }));
+        assert_eq!(check(&ACK_7), Ok(Frame::Ack { seq: 7 }));
+    }
+
     #[test]
     fn unknown_kind_is_rejected_even_with_valid_crc() {
         let mut buf = vec![0u8; 5];

@@ -678,7 +678,7 @@ fn reader_loop(conn: Arc<Conn>, peer: Rank, me: Rank, out: Sender<Envelope>) {
                 src: peer,
                 dst,
                 tag,
-                payload: Bytes::from(body.split_off(FRAME_HEADER)),
+                payload: Bytes::from(body).slice(FRAME_HEADER..),
             };
             conn.stats.frames_recv.fetch_add(1, Ordering::Relaxed);
             if out.send(env).is_err() {

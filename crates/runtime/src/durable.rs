@@ -661,6 +661,34 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A segment as written before the hardware CRC path existed: it must
+    /// still be produced byte for byte and load cleanly, so checkpoint
+    /// directories already on disk stay resumable.
+    #[test]
+    fn segment_matches_golden_bytes_and_loads() {
+        const SEG: [u8; 64] = [
+            71, 69, 83, 72, 140, 15, 74, 63, 52, 0, 0, 0, 8, 0, 0, 0, 8, 0, 0, 0, 1, 0, 0, 0, 1, 0,
+            0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 4, 0, 0, 0, 16, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6,
+            7, 8, 9, 10, 11, 12, 13, 14, 15,
+        ];
+        let cells: Vec<u8> = (0u8..16).collect();
+        let region = TileRegion::new(0, 2, 2, 4);
+        let body = encode_entries_body(8, 8, &[(1, region, cells.clone())]);
+        assert_eq!(frame_file(MAGIC_SEG, &body), SEG);
+
+        let dir = tmp_dir("golden");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(seg_path(&dir, 0), SEG).unwrap();
+        assert_eq!(
+            read_segment(&seg_path(&dir, 0)),
+            Ok((8, 8, vec![(1, region, cells)]))
+        );
+        let cp = Checkpoint::load_dir(&dir).unwrap().unwrap();
+        assert_eq!(cp.extent(), (8, 8));
+        assert_eq!(cp.finished_tasks().map(|v| v.0).collect::<Vec<_>>(), [1]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn overlapping_segments_are_an_error_not_a_panic() {
         let dir = tmp_dir("overlap");
