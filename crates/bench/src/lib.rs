@@ -1,4 +1,4 @@
-//! Shared helpers for the EasyHPS benchmark harness.
+//! Shared helpers for the paper-figure binary and the figure-shape tests.
 //!
 //! Two scales are used throughout:
 //!
@@ -6,8 +6,8 @@
 //!   `process_partition_size = 200`, `thread_partition_size = 10`), used by
 //!   the `figures` binary to regenerate each figure's full data series;
 //! * **bench scale** — a 5x reduced instance with the same tile geometry
-//!   (`seq_len = 2000`, `pps = 100`, `tps = 10`), small enough for
-//!   Criterion's repeated sampling while preserving the DAG shapes.
+//!   (`seq_len = 2000`, `pps = 100`, `tps = 10`), small enough for the
+//!   figure-shape tests under `tests/` while preserving the DAG shapes.
 
 use easyhps_sim::{CostModel, SimWorkload};
 
@@ -21,12 +21,12 @@ pub fn paper_nussinov() -> SimWorkload {
     SimWorkload::nussinov(10_000, 200, 10)
 }
 
-/// Reduced SWGG instance for Criterion sampling.
+/// Reduced SWGG instance for the figure-shape tests.
 pub fn bench_swgg() -> SimWorkload {
     SimWorkload::swgg(2_000, 100, 10)
 }
 
-/// Reduced Nussinov instance for Criterion sampling.
+/// Reduced Nussinov instance for the figure-shape tests.
 pub fn bench_nussinov() -> SimWorkload {
     SimWorkload::nussinov(2_000, 100, 10)
 }

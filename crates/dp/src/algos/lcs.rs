@@ -69,18 +69,13 @@ impl DpProblem for Lcs {
     }
 
     fn compute_region<G: DpGrid<i32>>(&self, m: &mut G, region: TileRegion) {
-        #[cfg(feature = "simd")]
-        {
-            crate::algos::adiag::sweep(m, region, &self.a, &self.b, &crate::algos::adiag::LcsRule);
-        }
-        #[cfg(not(feature = "simd"))]
-        self.compute_region_scalar(m, region);
+        crate::algos::adiag::sweep(m, region, &self.a, &self.b, &crate::algos::adiag::LcsRule);
     }
 }
 
 impl Lcs {
-    /// The scalar slice-sweep kernel — the `--no-default-features`
-    /// fallback and the bit-identical reference for the SIMD path.
+    /// The scalar slice-sweep kernel: the bit-identical reference for
+    /// the anti-diagonal kernel and the baseline it is gated against.
     #[doc(hidden)]
     pub fn compute_region_scalar<G: DpGrid<i32>>(&self, m: &mut G, region: TileRegion) {
         crate::algos::row_sweep::sweep_rows_2d(
@@ -134,5 +129,27 @@ mod tests {
         let (len, s) = lcs_of("GATTACA", "GATTACA");
         assert_eq!(len, 7);
         assert_eq!(s, "GATTACA");
+    }
+
+    #[test]
+    fn anti_diagonal_and_scalar_kernels_agree_on_ragged_tiles() {
+        use crate::sequence::{random_sequence, Alphabet};
+        let p = Lcs::new(
+            random_sequence(Alphabet::Dna, 101, 11),
+            random_sequence(Alphabet::Dna, 87, 12),
+        );
+        let d = p.dims();
+        // 13x7 tiles leave ragged edges on both sides; row-major tile
+        // order respects the wavefront dependencies.
+        let (mut adiag, mut scalar) = (DpMatrix::new(d), DpMatrix::new(d));
+        for r0 in (0..d.rows).step_by(13) {
+            for c0 in (0..d.cols).step_by(7) {
+                let t = TileRegion::new(r0, (r0 + 13).min(d.rows), c0, (c0 + 7).min(d.cols));
+                p.compute_region(&mut adiag, t);
+                p.compute_region_scalar(&mut scalar, t);
+            }
+        }
+        assert_eq!(adiag, scalar);
+        assert_eq!(adiag, p.solve_sequential());
     }
 }

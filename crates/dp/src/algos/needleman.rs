@@ -113,9 +113,8 @@ impl DpProblem for NeedlemanWunsch {
 
     fn compute_region<G: DpGrid<i32>>(&self, m: &mut G, region: TileRegion) {
         // Simple substitution vectorizes as compare + select, so those
-        // tiles take the anti-diagonal SIMD kernel; `Table` lookups (and
-        // builds without the `simd` feature) use the scalar row sweep.
-        #[cfg(feature = "simd")]
+        // tiles take the anti-diagonal kernel; `Table` lookups use the
+        // scalar row sweep.
         if let Substitution::Simple {
             match_score,
             mismatch,
@@ -134,9 +133,9 @@ impl DpProblem for NeedlemanWunsch {
 }
 
 impl NeedlemanWunsch {
-    /// The scalar slice-sweep kernel — the fallback for `Table`
-    /// substitutions and `--no-default-features` builds, and the
-    /// bit-identical reference for the SIMD path.
+    /// The scalar slice-sweep kernel: the path for `Table` substitutions,
+    /// and the bit-identical reference for the anti-diagonal kernel and
+    /// the baseline it is gated against.
     #[doc(hidden)]
     pub fn compute_region_scalar<G: DpGrid<i32>>(&self, m: &mut G, region: TileRegion) {
         crate::algos::row_sweep::sweep_rows_2d(
@@ -235,5 +234,26 @@ mod tests {
             p.compute_region(&mut m, model.tile_region(dag.vertex(v).pos));
         });
         assert_eq!(m, seq);
+    }
+
+    #[test]
+    fn anti_diagonal_and_scalar_kernels_agree_on_ragged_tiles() {
+        let p = NeedlemanWunsch::dna(
+            random_sequence(Alphabet::Dna, 101, 11),
+            random_sequence(Alphabet::Dna, 87, 12),
+        );
+        let d = p.dims();
+        // 13x7 tiles leave ragged edges on both sides; row-major tile
+        // order respects the wavefront dependencies.
+        let (mut adiag, mut scalar) = (DpMatrix::new(d), DpMatrix::new(d));
+        for r0 in (0..d.rows).step_by(13) {
+            for c0 in (0..d.cols).step_by(7) {
+                let t = TileRegion::new(r0, (r0 + 13).min(d.rows), c0, (c0 + 7).min(d.cols));
+                p.compute_region(&mut adiag, t);
+                p.compute_region_scalar(&mut scalar, t);
+            }
+        }
+        assert_eq!(adiag, scalar);
+        assert_eq!(adiag, p.solve_sequential());
     }
 }

@@ -156,9 +156,8 @@ impl Nussinov {
     /// prefixes from the top-left and column suffixes from the
     /// bottom-right. Leaves run the iterative slice kernel, so every
     /// scan walks buffers sized to the base case regardless of how big
-    /// the outer region is. Exposed with a tunable `base` for tests and
-    /// benches; [`DpProblem::compute_region`] fixes it at
-    /// [`RECURSE_BASE`].
+    /// the outer region is. Exposed with a tunable `base` for tests;
+    /// [`DpProblem::compute_region`] fixes it at [`RECURSE_BASE`].
     #[doc(hidden)]
     pub fn compute_region_recursive<G: DpGrid<i32>>(
         &self,

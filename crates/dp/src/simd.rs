@@ -5,16 +5,16 @@
 //! compiles to `max`/`add` vector code on any target, without
 //! arch-specific intrinsics or extra crates. An earlier draft carried a
 //! hand-rolled eight-lane `i32` wrapper here; measured on the tile
-//! benches it *lost* to these plain loops (the array-shuffling loads
+//! kernels it *lost* to these plain loops (the array-shuffling loads
 //! never folded into single vector moves and the per-call reduction
 //! overhead dominated short scans), so the explicit-lane path was
-//! dropped in favour of the autovectorized form. The `simd` cargo
-//! feature instead gates the *algorithmic* layer above: the
-//! anti-diagonal kernels in [`crate::algos::adiag`], which restructure
-//! the wavefront recurrences so their inner loops become element-wise
-//! maps like the ones below. Results are bit-identical to any scalar
-//! evaluation order: only `max`, `add` and `sub` over `i32` are
-//! involved, which are exact and associative-safe here.
+//! dropped in favour of the autovectorized form. The anti-diagonal
+//! kernels in [`crate::algos::adiag`] apply the same idea one layer up:
+//! they restructure the wavefront recurrences so their inner loops
+//! become element-wise maps like the ones below. Results are
+//! bit-identical to any scalar evaluation order: only `max`, `add` and
+//! `sub` over `i32` are involved, which are exact and associative-safe
+//! here.
 
 /// `max_t (cells[n-1-t] - wt[t])` over `t in 0..n`, where
 /// `n = cells.len() == wt.len()` — the SWGG row/column gap scan with the
