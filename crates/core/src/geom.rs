@@ -209,13 +209,16 @@ impl TileRegion {
             .flat_map(move |r| (self.col_start..self.col_end).map(move |c| GridPos::new(r, c)))
     }
 
-    /// Intersection with another region (may be empty).
+    /// Intersection with another region. An empty intersection keeps
+    /// `end >= start` on both axes, so [`Self::area`] of it is 0.
     pub fn intersect(&self, other: &TileRegion) -> TileRegion {
+        let row_start = self.row_start.max(other.row_start);
+        let col_start = self.col_start.max(other.col_start);
         TileRegion {
-            row_start: self.row_start.max(other.row_start),
-            row_end: self.row_end.min(other.row_end),
-            col_start: self.col_start.max(other.col_start),
-            col_end: self.col_end.min(other.col_end),
+            row_start,
+            row_end: self.row_end.min(other.row_end).max(row_start),
+            col_start,
+            col_end: self.col_end.min(other.col_end).max(col_start),
         }
     }
 }
@@ -291,6 +294,8 @@ mod tests {
         assert_eq!(i, TileRegion::new(3, 5, 2, 4));
         let disjoint = TileRegion::new(6, 9, 0, 5);
         assert!(a.intersect(&disjoint).is_empty());
+        assert_eq!(a.intersect(&disjoint).area(), 0);
+        assert_eq!(disjoint.intersect(&a).area(), 0);
     }
 
     #[test]

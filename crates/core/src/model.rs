@@ -106,6 +106,15 @@ impl DagDataDrivenModel {
         (self.mapping)(tile)
     }
 
+    /// Cells of master tile `dep` that master tile `tile` reads: the
+    /// cell pattern's [`DagPattern::data_footprint`] of the two tile
+    /// regions. An ASSIGN for `tile` carries this region of each data
+    /// dependency `dep`.
+    pub fn input_region(&self, tile: GridPos, dep: GridPos) -> TileRegion {
+        self.cell_pattern
+            .data_footprint(self.tile_region(tile), self.tile_region(dep))
+    }
+
     /// The slave-level pattern inside master tile `tile`: the cell pattern
     /// restricted to the tile's region, coarsened by
     /// `thread_partition_size`.

@@ -89,6 +89,19 @@ pub trait DagPattern: Send + Sync + fmt::Debug {
         self.predecessors(p, out);
     }
 
+    /// The data communication level at region granularity: the bounding
+    /// box of the cells of `source` that cells of `reader` read (both in
+    /// cell coordinates, disjoint). This is what the master ships of a
+    /// dependency tile with an ASSIGN.
+    ///
+    /// Must contain every [`data_dependencies`](Self::data_dependencies)
+    /// entry of a `reader` cell that lies in `source`. The default is all
+    /// of `source`, which is right for any pattern; patterns whose reads
+    /// stay next to the cell override it with an `O(1)` box.
+    fn data_footprint(&self, _reader: TileRegion, source: TileRegion) -> TileRegion {
+        source
+    }
+
     /// The tD/eD classification of this pattern.
     fn kind(&self) -> PatternKind;
 

@@ -1,6 +1,6 @@
 //! Banded 2D/0D wavefront: the Ukkonen-style diagonal band.
 
-use crate::geom::{GridDims, GridPos};
+use crate::geom::{GridDims, GridPos, TileRegion};
 use crate::pattern::{coarsen_by_scan, DagPattern, PatternKind};
 use std::sync::Arc;
 
@@ -54,6 +54,11 @@ impl DagPattern for Banded2D {
                 out.push(q);
             }
         }
+    }
+
+    fn data_footprint(&self, reader: TileRegion, source: TileRegion) -> TileRegion {
+        // The band only drops reads of the wavefront stencil.
+        super::wavefront::stencil_halo(reader, source)
     }
 
     fn kind(&self) -> PatternKind {

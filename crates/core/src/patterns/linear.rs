@@ -1,6 +1,6 @@
 //! 1D chain pattern.
 
-use crate::geom::{GridDims, GridPos};
+use crate::geom::{GridDims, GridPos, TileRegion};
 use crate::pattern::{DagPattern, PatternKind};
 use std::sync::Arc;
 
@@ -38,6 +38,16 @@ impl DagPattern for Linear1D {
         if p.col > 0 {
             out.push(GridPos::new(0, p.col - 1));
         }
+    }
+
+    fn data_footprint(&self, reader: TileRegion, source: TileRegion) -> TileRegion {
+        // Stages `c0..c1` read stages `c0-1..c1-1`.
+        source.intersect(&TileRegion::new(
+            0,
+            1,
+            reader.col_start.saturating_sub(1),
+            reader.col_end.saturating_sub(1),
+        ))
     }
 
     fn kind(&self) -> PatternKind {

@@ -1,6 +1,6 @@
 //! Full-previous-row pattern (Viterbi-style row barriers).
 
-use crate::geom::{GridDims, GridPos};
+use crate::geom::{GridDims, GridPos, TileRegion};
 use crate::pattern::{DagPattern, PatternKind};
 
 /// A recurrence where every cell of row `t` reads the *entire* row `t-1`
@@ -38,6 +38,16 @@ impl DagPattern for PrevRow2D {
                 out.push(GridPos::new(p.row - 1, c));
             }
         }
+    }
+
+    fn data_footprint(&self, reader: TileRegion, source: TileRegion) -> TileRegion {
+        // Rows `r0..r1` read the whole of rows `r0-1..r1-1`.
+        source.intersect(&TileRegion::new(
+            reader.row_start.saturating_sub(1),
+            reader.row_end.saturating_sub(1),
+            0,
+            self.dims.cols,
+        ))
     }
 
     fn kind(&self) -> PatternKind {

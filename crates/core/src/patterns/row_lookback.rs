@@ -1,6 +1,6 @@
 //! Row-above-prefix lookback pattern ("1.5D" recurrences like knapsack).
 
-use crate::geom::{GridDims, GridPos};
+use crate::geom::{GridDims, GridPos, TileRegion};
 use crate::pattern::{DagPattern, PatternKind};
 use std::sync::Arc;
 
@@ -45,6 +45,16 @@ impl DagPattern for RowLookback2D {
                 out.push(GridPos::new(p.row - 1, c));
             }
         }
+    }
+
+    fn data_footprint(&self, reader: TileRegion, source: TileRegion) -> TileRegion {
+        // Rows `r0..r1` read rows `r0-1..r1-1`, columns up to their own.
+        source.intersect(&TileRegion::new(
+            reader.row_start.saturating_sub(1),
+            reader.row_end.saturating_sub(1),
+            0,
+            reader.col_end,
+        ))
     }
 
     fn kind(&self) -> PatternKind {

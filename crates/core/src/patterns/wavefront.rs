@@ -1,6 +1,6 @@
 //! 2D/0D rectangular wavefront pattern.
 
-use crate::geom::{GridDims, GridPos};
+use crate::geom::{GridDims, GridPos, TileRegion};
 use crate::pattern::{DagPattern, PatternKind};
 use std::sync::Arc;
 
@@ -37,6 +37,10 @@ impl DagPattern for Wavefront2D {
         }
     }
 
+    fn data_footprint(&self, reader: TileRegion, source: TileRegion) -> TileRegion {
+        stencil_halo(reader, source)
+    }
+
     fn kind(&self) -> PatternKind {
         PatternKind::Wavefront2D
     }
@@ -50,6 +54,19 @@ impl DagPattern for Wavefront2D {
     fn vertex_count(&self) -> u64 {
         self.dims.area()
     }
+}
+
+/// The part of `source` in the one-cell halo north and west of `reader`:
+/// everything a west/north/north-west stencil reads outside `reader`. For
+/// block tiles that is the last row of a tile above, the last column of a
+/// tile to the left and the corner cell of the diagonal tile.
+pub(crate) fn stencil_halo(reader: TileRegion, source: TileRegion) -> TileRegion {
+    source.intersect(&TileRegion::new(
+        reader.row_start.saturating_sub(1),
+        reader.row_end,
+        reader.col_start.saturating_sub(1),
+        reader.col_end,
+    ))
 }
 
 #[cfg(test)]

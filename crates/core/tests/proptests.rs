@@ -1,8 +1,8 @@
 //! Property-based tests for the DAG Data Driven Model invariants.
 
 use easyhps_core::patterns::{
-    AntiWavefront2D, Banded2D, CustomPattern, Full2D2D, Linear1D, RestrictedPattern, RowColumn2D1D,
-    RowLookback2D, TriangularGap, Wavefront2D,
+    AntiWavefront2D, Banded2D, CustomPattern, Full2D2D, Linear1D, PrevRow2D, RestrictedPattern,
+    RowColumn2D1D, RowLookback2D, TriangularGap, Wavefront2D,
 };
 use easyhps_core::{
     DagDataDrivenModel, DagParser, DagPattern, GridDims, GridPos, PatternKind, TaskDag, TileRegion,
@@ -257,6 +257,118 @@ proptest! {
         }
         prop_assert!(parser.is_done());
         prop_assert!(completions.iter().all(|&c| c == 1));
+    }
+}
+
+/// A pattern for the footprint property, with its process partition:
+/// every built-in pattern, and a `coarsen_by_scan` product (a banded
+/// wavefront blocked by non-square tiles) used as a cell pattern.
+/// [`PrevRow2D`] is partitioned by rows only, as its docs require.
+fn footprint_case(
+    kind: usize,
+    rows: u32,
+    cols: u32,
+    band: u32,
+    tile: GridDims,
+) -> (Arc<dyn DagPattern>, GridDims) {
+    let dims = GridDims::new(rows, cols);
+    let n = rows.max(cols);
+    let pattern: Arc<dyn DagPattern> = match kind {
+        0 => Arc::new(Wavefront2D::new(dims)),
+        1 => Arc::new(RowColumn2D1D::new(dims)),
+        2 => Arc::new(TriangularGap::new(n)),
+        3 => Arc::new(Full2D2D::new(dims)),
+        4 => Arc::new(Linear1D::new(cols)),
+        5 => Arc::new(AntiWavefront2D::new(dims)),
+        6 => Arc::new(RowLookback2D::new(dims)),
+        7 => Arc::new(Banded2D::new(GridDims::square(n), band)),
+        8 => {
+            return (
+                Arc::new(PrevRow2D::new(dims)),
+                GridDims::new(tile.rows, cols),
+            )
+        }
+        _ => Banded2D::new(GridDims::square(n), band).coarsen(GridDims::new(1, 2)),
+    };
+    (pattern, tile)
+}
+
+proptest! {
+    /// The data communication level at tile granularity: every cell a
+    /// tile reads outside itself lies in a data-dependency tile, inside
+    /// the footprint the pattern declares for that pair (which is what an
+    /// ASSIGN ships). Footprints stay inside their source tile.
+    #[test]
+    fn data_footprints_cover_cell_reads(
+        kind in 0usize..10,
+        rows in 1u32..12,
+        cols in 1u32..12,
+        band in 0u32..4,
+        tr in 1u32..5,
+        tc in 1u32..5,
+    ) {
+        let (pattern, tile) = footprint_case(kind, rows, cols, band, GridDims::new(tr, tc));
+        let model = DagDataDrivenModel::builder(pattern.clone())
+            .process_partition_size(tile)
+            .build();
+        let dag = model.master_dag();
+        let mut buf = Vec::new();
+        for (_, v) in dag.iter() {
+            let reader = model.tile_region(v.pos);
+            let inputs: Vec<_> = v
+                .data_deps
+                .iter()
+                .map(|d| {
+                    let dep = dag.vertex(*d).pos;
+                    (model.tile_region(dep), model.input_region(v.pos, dep))
+                })
+                .collect();
+            for (source, fp) in &inputs {
+                prop_assert_eq!(fp.intersect(source), *fp, "footprint leaves its source");
+            }
+            for cell in reader.iter().filter(|c| pattern.contains(*c)) {
+                buf.clear();
+                pattern.data_dependencies(cell, &mut buf);
+                for dd in buf.iter().filter(|dd| !reader.contains(**dd)) {
+                    let hit = inputs.iter().find(|(source, _)| source.contains(*dd));
+                    prop_assert!(hit.is_some(), "{} reads {} outside every dependency", cell, dd);
+                    let (source, fp) = hit.unwrap();
+                    prop_assert!(
+                        fp.contains(*dd),
+                        "{} reads {} of {:?} outside footprint {:?}", cell, dd, source, fp
+                    );
+                }
+            }
+        }
+    }
+
+    /// A wavefront tile ships exactly the one-cell halo: the last row of
+    /// the tile above, the last column of the tile to the left, the
+    /// corner of the diagonal tile — on ragged partitions too.
+    #[test]
+    fn wavefront_footprints_are_exact_halo_strips(
+        rows in 1u32..20,
+        cols in 1u32..20,
+        tr in 1u32..6,
+        tc in 1u32..6,
+    ) {
+        let model = DagDataDrivenModel::builder(Arc::new(Wavefront2D::new(GridDims::new(rows, cols))))
+            .process_partition_size(GridDims::new(tr, tc))
+            .build();
+        let dag = model.master_dag();
+        for (_, v) in dag.iter() {
+            for d in &v.data_deps {
+                let dep = dag.vertex(*d).pos;
+                let s = model.tile_region(dep);
+                let want = match (v.pos.row - dep.row, v.pos.col - dep.col) {
+                    (1, 0) => TileRegion::new(s.row_end - 1, s.row_end, s.col_start, s.col_end),
+                    (0, 1) => TileRegion::new(s.row_start, s.row_end, s.col_end - 1, s.col_end),
+                    (1, 1) => TileRegion::new(s.row_end - 1, s.row_end, s.col_end - 1, s.col_end),
+                    other => panic!("wavefront dependency at offset {other:?}"),
+                };
+                prop_assert_eq!(model.input_region(v.pos, dep), want);
+            }
+        }
     }
 }
 

@@ -140,6 +140,10 @@ pub struct MasterStats {
     /// Completions rejected because their echoed epoch predated the
     /// slave's current incarnation (zombie DONEs fenced out).
     pub stale_epoch_rejected: u64,
+    /// Completions dropped because their region or byte length did not
+    /// match the task's tile (the task stays in flight until it lands or
+    /// times out).
+    pub malformed_done_rejected: u64,
     /// Control-message retransmissions by the master's reliable endpoint.
     pub retransmits: u64,
     /// Duplicate deliveries suppressed by the master's reliable endpoint.

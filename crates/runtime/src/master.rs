@@ -166,6 +166,52 @@ impl<C: easyhps_dp::Cell> DoneCtx<'_, C> {
     }
 }
 
+/// The ASSIGN for task `v`: its tile and region, and the cells of each
+/// data dependency the tile reads ([`DagDataDrivenModel::input_region`]),
+/// encoded from the master's matrix.
+fn assign_msg<C: easyhps_dp::Cell>(
+    model: &DagDataDrivenModel,
+    dag: &TaskDag,
+    matrix: &DpMatrix<C>,
+    v: VertexId,
+    epoch: u64,
+) -> AssignMsg {
+    let vertex = dag.vertex(v);
+    let inputs = vertex
+        .data_deps
+        .iter()
+        .map(|d| {
+            let region = model.input_region(vertex.pos, dag.vertex(*d).pos);
+            (region, matrix.encode_region(region))
+        })
+        .collect();
+    AssignMsg {
+        task: v.0,
+        epoch,
+        tile: vertex.pos,
+        region: model.tile_region(vertex.pos),
+        inputs,
+    }
+}
+
+/// Whether `msg` carries its task's whole tile: the region the master
+/// assigned and exactly `area × WIRE_SIZE` bytes. A DONE that does not is
+/// dropped before the machine sees it, so the task stays in flight until
+/// a good DONE lands or the overdue sweep redistributes it; decoding it
+/// would panic or write cells the tile does not own. An out-of-range task
+/// id is left to the machine, which counts it stale.
+fn done_fits_task<C: easyhps_dp::Cell>(
+    msg: &DoneMsg,
+    model: &DagDataDrivenModel,
+    dag: &TaskDag,
+) -> bool {
+    if msg.task as usize >= dag.len() {
+        return true;
+    }
+    let region = model.tile_region(dag.vertex(VertexId(msg.task)).pos);
+    msg.region == region && msg.output.len() as u64 == region.area() * C::WIRE_SIZE as u64
+}
+
 /// Run the master loop to completion over a hand-built cluster: `ep`
 /// must be rank 0 of a network whose ranks `1..=config.slaves` run
 /// [`crate::run_slave`]. Every other way of running a master —
@@ -448,25 +494,10 @@ pub(crate) fn run_master_fleet<P: DpProblem>(
                         lane.instant("readmit", "ft", Some(("slave", slave as u64)));
                     }
                     MasterAction::Assign { slave: w, task } => {
-                        // Steps c-d: encode the tile's input strips and
-                        // send the ASSIGN.
+                        // Steps c-d: encode the cells of each dependency
+                        // the tile reads and send the ASSIGN.
                         let v = VertexId(task);
-                        let vertex = dag.vertex(v);
-                        let inputs: Vec<_> = vertex
-                            .data_deps
-                            .iter()
-                            .map(|d| {
-                                let region = model.tile_region(dag.vertex(*d).pos);
-                                (region, matrix.encode_region(region))
-                            })
-                            .collect();
-                        let msg = AssignMsg {
-                            task,
-                            epoch: cur_epoch[w],
-                            tile: vertex.pos,
-                            region: model.tile_region(vertex.pos),
-                            inputs,
-                        };
+                        let msg = assign_msg(model, &dag, &matrix, v, cur_epoch[w]);
                         match rep.send_reliable(Rank(w as u32 + 1), tags::ASSIGN, msg.encode()) {
                             Ok(seq) => {
                                 mm.dispatched.inc();
@@ -529,6 +560,10 @@ pub(crate) fn run_master_fleet<P: DpProblem>(
                                     },
                                 )?;
                                 debug_assert!(acts.is_empty(), "StaleEpoch emitted {acts:?}");
+                                continue 'run;
+                            }
+                            if !done_fits_task::<P::Cell>(&msg, model, &dag) {
+                                mm.malformed_done_rejected.inc();
                                 continue 'run;
                             }
                             let mut ctx = DoneCtx {
@@ -701,6 +736,10 @@ pub(crate) fn run_master_fleet<P: DpProblem>(
                             debug_assert!(acts.is_empty(), "StaleEpoch emitted {acts:?}");
                             continue;
                         }
+                        if !done_fits_task::<P::Cell>(&msg, model, &dag) {
+                            mm.malformed_done_rejected.inc();
+                            continue;
+                        }
                         let mut ctx = DoneCtx {
                             t0,
                             started: &mut started,
@@ -770,6 +809,7 @@ pub(crate) fn run_master_fleet<P: DpProblem>(
         readmitted: mm.readmissions.get(),
         rejoins: mm.rejoins.get(),
         stale_epoch_rejected: mm.stale_epoch_rejected.get(),
+        malformed_done_rejected: mm.malformed_done_rejected.get(),
         retransmits: reli.retransmits,
         duplicates: reli.duplicates,
         send_failures: mm.send_failures.get(),
@@ -838,4 +878,90 @@ fn flush_durable<C: easyhps_dp::Cell>(
     mm.checkpoints.inc();
     lane.instant("checkpoint-flush", "checkpoint", Some(("tiles", tiles)));
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use easyhps_core::{GridDims, GridPos, PatternKind, TileRegion};
+
+    /// A wavefront tile's ASSIGN carries `rows + cols + 1` cells: the
+    /// last row above, the last column to the left and the corner — on a
+    /// ragged edge tile too.
+    #[test]
+    fn wavefront_assign_carries_the_halo_only() {
+        let model = DagDataDrivenModel::from_library(
+            PatternKind::Wavefront2D,
+            GridDims::square(31),
+            GridDims::square(8),
+            GridDims::square(4),
+        );
+        let dag = model.master_dag();
+        let matrix = DpMatrix::<i32>::new(model.dag_size());
+        for (tile, rows, cols) in [((1, 2), 8, 8), ((3, 3), 7, 7), ((3, 1), 7, 8)] {
+            let v = dag.vertex_at(GridPos::from(tile)).expect("tile in the DAG");
+            let msg = assign_msg(&model, &dag, &matrix, v, 0);
+            assert_eq!(msg.inputs.len(), 3);
+            let bytes: usize = msg.inputs.iter().map(|(_, b)| b.len()).sum();
+            assert_eq!(bytes, (rows + cols + 1) * 4, "tile {tile:?}");
+        }
+    }
+
+    /// A 2D/1D tile reads whole row and column prefixes, so its footprint
+    /// is every dependency tile in full.
+    #[test]
+    fn row_column_assign_carries_whole_tiles() {
+        let model = DagDataDrivenModel::from_library(
+            PatternKind::RowColumn2D1D,
+            GridDims::square(31),
+            GridDims::square(8),
+            GridDims::square(4),
+        );
+        let dag = model.master_dag();
+        let matrix = DpMatrix::<i32>::new(model.dag_size());
+        let v = dag.vertex_at(GridPos::new(2, 2)).expect("tile in the DAG");
+        let msg = assign_msg(&model, &dag, &matrix, v, 0);
+        for (region, bytes) in &msg.inputs {
+            assert_eq!(region.area(), 64);
+            assert_eq!(bytes.len(), 64 * 4);
+        }
+    }
+
+    #[test]
+    fn done_must_match_its_tile() {
+        let model = DagDataDrivenModel::from_library(
+            PatternKind::Wavefront2D,
+            GridDims::square(31),
+            GridDims::square(8),
+            GridDims::square(4),
+        );
+        let dag = model.master_dag();
+        let v = dag.vertex_at(GridPos::new(3, 3)).expect("tile in the DAG");
+        let region = model.tile_region(GridPos::new(3, 3));
+        let done = DoneMsg {
+            task: v.0,
+            epoch: 0,
+            region,
+            output: vec![0; 49 * 4],
+        };
+        assert!(done_fits_task::<i32>(&done, &model, &dag));
+        let short = DoneMsg {
+            output: vec![0; 48 * 4],
+            ..done.clone()
+        };
+        assert!(!done_fits_task::<i32>(&short, &model, &dag));
+        let moved = DoneMsg {
+            region: TileRegion::new(24, 31, 23, 30),
+            ..done.clone()
+        };
+        assert!(!done_fits_task::<i32>(&moved, &model, &dag));
+        let rogue = DoneMsg {
+            task: u32::MAX,
+            ..short
+        };
+        assert!(
+            done_fits_task::<i32>(&rogue, &model, &dag),
+            "out-of-range ids are the machine's to judge"
+        );
+    }
 }

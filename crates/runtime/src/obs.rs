@@ -68,6 +68,9 @@ pub(crate) struct MasterMetrics {
     /// DONEs rejected because their echoed epoch predates the slave's
     /// current incarnation (zombie completions fenced out).
     pub stale_epoch_rejected: Arc<Counter>,
+    /// DONEs dropped because their region or byte length does not match
+    /// the task's tile.
+    pub malformed_done_rejected: Arc<Counter>,
     /// Reliable sends the master abandoned.
     pub send_failures: Arc<Counter>,
     /// Checkpoints captured (tile-budget captures and durable flushes).
@@ -97,6 +100,7 @@ impl MasterMetrics {
             readmissions: reg.counter("master_slave_readmissions"),
             rejoins: reg.counter("master_slave_rejoins"),
             stale_epoch_rejected: reg.counter("master_stale_epoch_rejected"),
+            malformed_done_rejected: reg.counter("master_malformed_done_rejected"),
             send_failures: reg.counter("master_send_failures"),
             checkpoints: reg.counter("master_checkpoints"),
             restored: reg.counter("master_tiles_restored"),

@@ -1,9 +1,10 @@
 //! The master/slave wire protocol.
 //!
 //! Six message kinds, mirroring the paper's workflow (§III): slaves
-//! announce idleness, the master assigns registered sub-tasks with their
-//! input strips, slaves reply with computed regions, and the master ends
-//! the run with a shutdown signal that slaves answer with their stats.
+//! announce idleness, the master assigns registered sub-tasks with the
+//! cells of each dependency the tile reads, slaves reply with computed
+//! regions, and the master ends the run with a shutdown signal that
+//! slaves answer with their stats.
 //! Heartbeats ride alongside so the master can tell a slow slave from a
 //! dead one.
 //!
@@ -23,7 +24,8 @@ pub mod tags {
     /// Slave -> master: "I am idle" (sent once at startup and implied by
     /// every DONE).
     pub const IDLE: Tag = Tag(1);
-    /// Master -> slave: sub-task assignment with input strips.
+    /// Master -> slave: sub-task assignment with the cells of each
+    /// dependency the tile reads.
     pub const ASSIGN: Tag = Tag(2);
     /// Slave -> master: computed sub-task region.
     pub const DONE: Tag = Tag(3);
@@ -60,13 +62,16 @@ fn put_region(w: &mut WireWriter, r: TileRegion) {
         .put_u32(r.col_end);
 }
 
+/// Decode a region, rejecting an inverted one (`end < start` on either
+/// axis), whose `rows()`/`cols()` would underflow.
 fn get_region(r: &mut WireReader<'_>) -> Result<TileRegion, WireError> {
-    Ok(TileRegion::new(
-        r.get_u32()?,
-        r.get_u32()?,
-        r.get_u32()?,
-        r.get_u32()?,
-    ))
+    let region = TileRegion::new(r.get_u32()?, r.get_u32()?, r.get_u32()?, r.get_u32()?);
+    if region.row_end < region.row_start || region.col_end < region.col_start {
+        return Err(WireError {
+            context: "inverted region",
+        });
+    }
+    Ok(region)
 }
 
 /// Master -> slave sub-task assignment.
@@ -83,7 +88,10 @@ pub struct AssignMsg {
     pub tile: GridPos,
     /// Cell region the slave must compute.
     pub region: TileRegion,
-    /// Input strips: `(region, encoded cells)` for every data dependency.
+    /// The cells of each data dependency the tile reads, as
+    /// `(region, encoded cells)`: the region is
+    /// [`easyhps_core::DagDataDrivenModel::input_region`], which for a
+    /// wavefront is the one-cell halo strip, not the whole tile.
     pub inputs: Vec<(TileRegion, Vec<u8>)>,
 }
 
@@ -284,5 +292,37 @@ mod tests {
         let mut bytes = msg.encode().to_vec();
         bytes.push(0xFF); // trailing garbage
         assert!(DoneMsg::decode(&bytes).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_inverted_regions() {
+        let ok = DoneMsg {
+            task: 0,
+            epoch: 0,
+            region: TileRegion::new(2, 2, 5, 5),
+            output: vec![],
+        };
+        assert_eq!(DoneMsg::decode(&ok.encode()).unwrap(), ok, "empty is fine");
+        for region in [TileRegion::new(3, 2, 0, 1), TileRegion::new(0, 1, 4, 1)] {
+            let done = DoneMsg {
+                region,
+                ..ok.clone()
+            };
+            assert!(DoneMsg::decode(&done.encode()).is_err(), "{region:?}");
+            let assign = AssignMsg {
+                task: 0,
+                epoch: 0,
+                tile: GridPos::new(0, 0),
+                region: TileRegion::new(0, 1, 0, 1),
+                inputs: vec![(region, vec![])],
+            };
+            assert!(AssignMsg::decode(&assign.encode()).is_err(), "{region:?}");
+            let assign = AssignMsg {
+                region,
+                inputs: vec![],
+                ..assign
+            };
+            assert!(AssignMsg::decode(&assign.encode()).is_err(), "{region:?}");
+        }
     }
 }

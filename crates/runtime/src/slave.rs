@@ -2,9 +2,13 @@
 //! Figs. 11-12).
 //!
 //! Each slave rank runs [`run_slave`]: a scheduling loop that announces
-//! idleness, receives sub-task assignments with their input strips,
-//! executes them on a pool of computing threads over the shared node
-//! matrix, and returns the computed region. The pool is spawned **once per
+//! idleness, receives sub-task assignments with the cells of each
+//! dependency the tile reads, executes them on a pool of computing
+//! threads over the shared node matrix, and returns the computed region.
+//! Because a node matrix outlives each tile, the cells of a dependency
+//! outside its footprint hold whatever an earlier tile left there; the
+//! kernels' read contract ([`easyhps_dp::DpProblem::compute_region`])
+//! keeps them unread. The pool is spawned **once per
 //! slave lifetime** and reused across every ASSIGN — thread creation is
 //! not on the per-tile path. Computing-thread failures (panics) are caught
 //! and the sub-sub-task is re-queued — the paper's "restart the
@@ -28,8 +32,8 @@ use crate::storage::{NodeStorage, SparseGrid};
 use crate::{MemoryMode, RuntimeError};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use easyhps_core::{DagDataDrivenModel, GridPos, TileRegion, VertexId};
-use easyhps_dp::DpProblem;
-use easyhps_net::{Endpoint, NetError, Rank, ReliableEndpoint};
+use easyhps_dp::{Cell, DpProblem};
+use easyhps_net::{Endpoint, NetError, Rank, ReliableEndpoint, WireError};
 use easyhps_obs::{EventRecorder, LaneBuf};
 use parking_lot::RwLock;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -260,12 +264,14 @@ pub fn run_slave_with_storage<P: DpProblem, S: NodeStorage<P::Cell>>(
                 }
                 tags::ASSIGN => {
                     let msg = AssignMsg::decode(&env.payload)?;
+                    check_assign::<P::Cell>(&msg, model)?;
                     lane.instant("dispatch", "sched", Some(("task", u64::from(msg.task))));
                     let tile_start = lane.now_ns();
                     {
-                        // Steps b-c: install input strips, back every
-                        // sub-sub-task region with memory. Write lock: the
-                        // pool is idle between tiles, so this never blocks.
+                        // Steps b-c: install the cells of each dependency
+                        // the tile reads, back every sub-sub-task region
+                        // with memory. Write lock: the pool is idle between
+                        // tiles, so this never blocks.
                         let mut g = grid.write();
                         for (region, bytes) in &msg.inputs {
                             g.decode_region(*region, bytes);
@@ -329,6 +335,37 @@ pub fn run_slave_with_storage<P: DpProblem, S: NodeStorage<P::Cell>>(
             }
         }
     })
+}
+
+/// Check an ASSIGN against the model before any of it touches the node
+/// matrix: the tile is one of the model's and its region is that tile's,
+/// and every input lies inside the grid with exactly `area × WIRE_SIZE`
+/// bytes. Storage checks row bounds only with `debug_assert!`, so in a
+/// release build a bad input region would copy past the end of a row.
+fn check_assign<C: Cell>(msg: &AssignMsg, model: &DagDataDrivenModel) -> Result<(), WireError> {
+    if !model.rect_size().contains(msg.tile) || msg.region != model.tile_region(msg.tile) {
+        return Err(WireError {
+            context: "assign tile is not one of the model's",
+        });
+    }
+    let dims = model.dag_size();
+    for (region, bytes) in &msg.inputs {
+        let inside = region.row_start <= region.row_end
+            && region.col_start <= region.col_end
+            && region.row_end <= dims.rows
+            && region.col_end <= dims.cols;
+        if !inside {
+            return Err(WireError {
+                context: "assign input outside the grid",
+            });
+        }
+        if bytes.len() as u64 != region.area() * C::WIRE_SIZE as u64 {
+            return Err(WireError {
+                context: "assign input length does not match its region",
+            });
+        }
+    }
+    Ok(())
 }
 
 /// Execute one master tile on the persistent worker pool: partition it by

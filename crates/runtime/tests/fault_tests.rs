@@ -974,3 +974,157 @@ fn rogue_out_of_range_rank_done_frames_are_ignored() {
     );
     assert_eq!(out.stats.dead_slaves, 0);
 }
+
+// ---------------------------------------------------------------------
+// Regions from the wire are validated before they touch a matrix: a DONE
+// whose region or length does not match its tile is dropped and counted
+// (it used to panic the master in `decode_region`), and a slave refuses
+// an ASSIGN input outside the grid with a protocol error.
+// ---------------------------------------------------------------------
+
+#[test]
+fn malformed_done_is_dropped_and_the_run_stays_exact() {
+    // A scripted slave answers its first assignment with two bad DONEs —
+    // a truncated payload, then the right bytes under a shifted region —
+    // before the genuine one. Both bad frames must be counted and dropped
+    // before the machine sees them; the genuine one is accepted.
+    let problem = EditDistance::new(
+        random_sequence(Alphabet::Dna, 30, 210),
+        random_sequence(Alphabet::Dna, 30, 211),
+    );
+    let reference = problem.solve_sequential();
+    let model = easyhps_core::DagDataDrivenModel::builder(problem.pattern())
+        .process_partition_size(easyhps_core::GridDims::square(8))
+        .thread_partition_size(easyhps_core::GridDims::square(4))
+        .build();
+    let config = Deployment::local(1, 1);
+
+    let mut eps = Network::new(2);
+    let ep_a = eps.pop().unwrap();
+    let master_ep = eps.pop().unwrap();
+    let mut rep_a = ReliableEndpoint::new(ep_a, RetryPolicy::default());
+    rep_a
+        .send_reliable(Rank(0), tags::IDLE, Bytes::new())
+        .unwrap();
+
+    let out = std::thread::scope(|s| {
+        let reference = &reference;
+        s.spawn(move || {
+            let mut bad_sent = false;
+            // Bounded, so a master that dies on a bad DONE fails the test
+            // instead of leaving this slave waiting for END.
+            let deadline = Instant::now() + Duration::from_secs(20);
+            while Instant::now() < deadline {
+                match rep_a.recv_timeout(Duration::from_millis(15)) {
+                    Ok(env) if env.tag == tags::ASSIGN => {
+                        let msg = AssignMsg::decode(&env.payload).unwrap();
+                        let done = DoneMsg {
+                            task: msg.task,
+                            epoch: msg.epoch,
+                            region: msg.region,
+                            output: reference.encode_region(msg.region),
+                        };
+                        if !bad_sent {
+                            bad_sent = true;
+                            let mut short = done.clone();
+                            short.output.truncate(short.output.len() - 4);
+                            let mut shifted = done.clone();
+                            shifted.region.col_start += 1;
+                            shifted.region.col_end += 1;
+                            for bad in [short, shifted] {
+                                rep_a
+                                    .send_reliable(Rank(0), tags::DONE, bad.encode())
+                                    .unwrap();
+                            }
+                        }
+                        rep_a
+                            .send_reliable(Rank(0), tags::DONE, done.encode())
+                            .unwrap();
+                    }
+                    Ok(env) if env.tag == tags::END => {
+                        rep_a
+                            .send_reliable(Rank(0), tags::STATS, SlaveStatsMsg::default().encode())
+                            .unwrap();
+                        rep_a.drain_pending(Duration::from_secs(1));
+                        return;
+                    }
+                    Ok(_) | Err(NetError::Timeout) => {}
+                    Err(_) => return,
+                }
+            }
+        });
+        run_master(master_ep, &problem, &model, &config).unwrap()
+    });
+
+    assert_eq!(out.matrix, reference, "bit-identical to sequential");
+    assert_eq!(out.stats.completed, 16, "every tile accepted exactly once");
+    assert_eq!(out.stats.dispatched, 16);
+    assert_eq!(out.stats.malformed_done_rejected, 2);
+    assert_eq!(out.stats.stale_completions, 0, "dropped before the machine");
+    assert_eq!(out.stats.redispatched, 0);
+}
+
+#[test]
+fn slave_refuses_assign_inputs_it_cannot_hold() {
+    let problem = EditDistance::new(
+        random_sequence(Alphabet::Dna, 30, 212),
+        random_sequence(Alphabet::Dna, 30, 213),
+    );
+    let model = easyhps_core::DagDataDrivenModel::builder(problem.pattern())
+        .process_partition_size(easyhps_core::GridDims::square(8))
+        .thread_partition_size(easyhps_core::GridDims::square(4))
+        .build();
+    let config = Deployment::local(1, 1);
+    let tile = easyhps_core::GridPos::new(0, 1);
+    let good = AssignMsg {
+        task: 1,
+        epoch: 0,
+        tile,
+        region: model.tile_region(tile),
+        inputs: vec![],
+    };
+    // Past the last column (31 wide); a length that is not area × 4; a
+    // region that is not the tile's.
+    let outside = easyhps_core::TileRegion::new(0, 8, 28, 33);
+    let edge = easyhps_core::TileRegion::new(0, 8, 7, 8);
+    let cases = [
+        (
+            AssignMsg {
+                inputs: vec![(outside, vec![0; 8 * 5 * 4])],
+                ..good.clone()
+            },
+            "assign input outside the grid",
+        ),
+        (
+            AssignMsg {
+                inputs: vec![(edge, vec![0; 8 * 4 - 1])],
+                ..good.clone()
+            },
+            "assign input length does not match its region",
+        ),
+        (
+            AssignMsg {
+                region: easyhps_core::TileRegion::new(0, 8, 0, 8),
+                ..good
+            },
+            "assign tile is not one of the model's",
+        ),
+    ];
+    for (bad, context) in cases {
+        let mut eps = Network::new(2);
+        let ep_a = eps.pop().unwrap();
+        let master_ep = eps.pop().unwrap();
+        let mut master = ReliableEndpoint::new(master_ep, RetryPolicy::default());
+        master
+            .send_reliable(Rank(1), tags::ASSIGN, bad.encode())
+            .unwrap();
+        let res = std::thread::scope(|s| {
+            s.spawn(move || master.drain_pending(Duration::from_secs(1)));
+            run_slave(ep_a, &problem, &model, &config)
+        });
+        assert!(
+            matches!(res, Err(easyhps_runtime::RuntimeError::Wire(ref e)) if e.context == context),
+            "{bad:?} gave {res:?}"
+        );
+    }
+}

@@ -182,11 +182,13 @@ fn simulate_impl(
         )
     };
 
+    // The same strips the real master's ASSIGN carries.
     let input_bytes = |task: VertexId| -> u64 {
+        let tile = dag.vertex(task).pos;
         dag.vertex(task)
             .data_deps
             .iter()
-            .map(|d| model.tile_region(dag.vertex(*d).pos).area() * workload.cell_bytes + 20)
+            .map(|d| model.input_region(tile, dag.vertex(*d).pos).area() * workload.cell_bytes + 20)
             .sum::<u64>()
             + 64
     };
